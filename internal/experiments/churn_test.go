@@ -98,3 +98,21 @@ func TestChurnSoakParallelEqualsSerial(t *testing.T) {
 		t.Fatalf("parallel != serial:\n%+v\n%+v", serial, parallel)
 	}
 }
+
+// TestChurnSoakGoldenDigests pins the tape digests of the churn soak at
+// seed 1 (2 tapes × 2000 events, as `paperbench churn -events 2000` runs
+// it). Every admission folds the deepest profile's γ_min into the decision
+// digest, so any drift in the Theorem-1 arithmetic — a shifted γ_min, a
+// changed verdict — changes these values.
+func TestChurnSoakGoldenDigests(t *testing.T) {
+	r, err := ChurnSoak(Config{Seed: 1}, 2000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"d87206fe9527f2d9", "50cb5096a3c92167"}
+	for i, row := range r.Rows {
+		if row.Digest != want[i] {
+			t.Errorf("tape %d (seed %d): digest %s, want %s", i, row.Seed, row.Digest, want[i])
+		}
+	}
+}

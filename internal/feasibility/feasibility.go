@@ -10,14 +10,15 @@
 //
 //	w_i + Σ_{j<i} ⌊(L−1)/p_j⌋ · w_j ≤ L.
 //
-// The check is exact integer arithmetic and pseudo-polynomial (O(n·p_n)),
-// exactly as in the paper.
+// The check is exact integer arithmetic. Condition 2 is evaluated once per
+// distinct period on the step points of one shared demand curve (see
+// classscan.go): O(S log S) for the S step points below p_n, plus one pass
+// over them per row for the γ_i^L family.
 package feasibility
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"nprt/internal/task"
 )
@@ -67,94 +68,9 @@ const maxViolationsKept = 16
 // computes the scaling factors γ of §III. Tasks in the set are already
 // period-sorted by construction (task.New).
 func Check(s *task.Set, m task.Mode) Report {
-	n := s.Len()
-	rep := Report{Schedulable: true, ArgMinTask: -1}
-
-	// Condition (1) and γ from it.
-	u := 0.0
-	for i := 0; i < n; i++ {
-		t := s.Task(i)
-		u += float64(wcet(t, m)) / float64(t.Period)
-	}
-	rep.Utilization = u
-	rep.GammaUtil = math.Inf(1)
-	if u > 0 {
-		rep.GammaUtil = 1 / u
-	}
-	rep.GammaMin = rep.GammaUtil
-	if u > 1 {
-		rep.Schedulable = false
-		rep.Violations = append(rep.Violations, Violation{Condition: 1, TaskIndex: -1, Util: u})
-	}
-
-	// Condition (2) and the γ_i^L family, evaluated only at the demand step
-	// points. The left-hand side is piecewise constant in L, jumping at
-	// L = k·p_j + 1, while both the right-hand side L and γ = L/demand grow
-	// strictly within each plateau — so the binding comparison and the γ
-	// minimum of every plateau sit at its first L. Visiting plateau starts in
-	// ascending order therefore reproduces the exhaustive scan bit for bit
-	// (the same GammaMin at the same first-attaining ArgMinL), and the
-	// violation list is reconstructed exactly by expanding the violating
-	// prefix of each plateau: demand d > L holds precisely for L ≤ d−1.
-	// checkExhaustive retains the unit-stride scan as the differential oracle.
-	p1 := s.Task(0).Period
-	var steps []task.Time // plateau starts, reused across rows
-	for i := 1; i < n; i++ {
-		ti := s.Task(i)
-		if ti.Period < p1+2 {
-			continue // interval (p_1, p_i) holds no integer L
-		}
-		steps = steps[:0]
-		steps = append(steps, p1+1)
-		for j := 0; j < i; j++ {
-			pj := s.Task(j).Period
-			for L := pj + 1; L < ti.Period; L += pj {
-				if L <= p1+1 {
-					continue
-				}
-				steps = append(steps, L)
-			}
-		}
-		sort.Slice(steps, func(a, b int) bool { return steps[a] < steps[b] })
-		uniq := steps[:1]
-		for _, L := range steps[1:] {
-			if L != uniq[len(uniq)-1] {
-				uniq = append(uniq, L)
-			}
-		}
-		for si, L := range uniq {
-			demand := wcet(ti, m)
-			for j := 0; j < i; j++ {
-				tj := s.Task(j)
-				demand += (L - 1) / tj.Period * wcet(tj, m)
-			}
-			if demand > L {
-				rep.Schedulable = false
-				// Every L' in [L, min(plateauEnd, demand−1)] violates with
-				// the same constant demand; emit them all, as the
-				// exhaustive scan would, up to the report cap.
-				end := ti.Period - 1
-				if si+1 < len(uniq) {
-					end = uniq[si+1] - 1
-				}
-				if v := demand - 1; v < end {
-					end = v
-				}
-				for lv := L; lv <= end && len(rep.Violations) < maxViolationsKept; lv++ {
-					rep.Violations = append(rep.Violations,
-						Violation{Condition: 2, TaskIndex: i, L: lv, Demand: demand})
-				}
-			}
-			if demand > 0 {
-				if g := float64(L) / float64(demand); g < rep.GammaMin {
-					rep.GammaMin = g
-					rep.ArgMinTask = i
-					rep.ArgMinL = L
-				}
-			}
-		}
-	}
-	return rep
+	var cv curve
+	cv.load(s, m, m)
+	return cv.report(s, m, 0)
 }
 
 // checkExhaustive is the original unit-stride Theorem-1 scan over every
@@ -220,52 +136,30 @@ func Schedulable(s *task.Set, m task.Mode) bool {
 // accurate-pass means full admission, deepest-only-pass means admission in a
 // degraded (imprecision-reliant) regime, deepest-fail means rejection.
 func Profiles(s *task.Set) (accurate, deepest Report) {
-	return Check(s, task.Accurate), Check(s, task.Deepest)
+	var cv curve
+	cv.load(s, task.Accurate, task.Deepest)
+	return cv.report(s, task.Accurate, 0), cv.report(s, task.Deepest, 1)
 }
 
-// FastSchedulable evaluates Theorem 1 checking condition (2) only at its
-// step points. The left-hand side w_i + Σ ⌊(L−1)/p_j⌋·w_j is piecewise
-// constant in L and only jumps at L = k·p_j + 1, while the right-hand side
-// grows with L — so within each plateau the binding comparison is at the
-// plateau's first L. Checking the step points (plus the interval's lower
-// boundary p_1 + 1) is therefore exact, and reduces the scan from O(p_n)
-// values of L to O(Σ p_i/p_j) of them. Equivalence with Check is fuzzed in
-// the package tests.
+// FastSchedulable evaluates Theorem 1 for the verdict alone: condition 1,
+// then condition 2 one period class at a time — every row of a class shares
+// the demand curve's minimum slack, and the class's largest WCET decides
+// it — with no per-row γ scan. Equivalence with Check is fuzzed in the
+// package tests.
 func FastSchedulable(s *task.Set, m task.Mode) bool {
-	n := s.Len()
 	u := 0.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < s.Len(); i++ {
 		t := s.Task(i)
 		u += float64(wcet(t, m)) / float64(t.Period)
 	}
 	if u > 1 {
 		return false
 	}
-	p1 := s.Task(0).Period
-	for i := 1; i < n; i++ {
-		ti := s.Task(i)
-		demandAt := func(L task.Time) task.Time {
-			demand := wcet(ti, m)
-			for j := 0; j < i; j++ {
-				tj := s.Task(j)
-				demand += (L - 1) / tj.Period * wcet(tj, m)
-			}
-			return demand
-		}
-		// Candidate L values: interval start and each step point.
-		if L := p1 + 1; L < ti.Period && demandAt(L) > L {
+	var cv curve
+	cv.load(s, m, m)
+	for i := range cv.classes {
+		if !cv.classes[i].pass(0) {
 			return false
-		}
-		for j := 0; j < i; j++ {
-			pj := s.Task(j).Period
-			for L := pj + 1; L < ti.Period; L += pj {
-				if L <= p1+1 {
-					continue
-				}
-				if demandAt(L) > L {
-					return false
-				}
-			}
 		}
 	}
 	return true
@@ -298,16 +192,18 @@ func DemandCurve(s *task.Set, i int, m task.Mode) (ls []task.Time, demands []tas
 	if i <= 0 || i >= s.Len() {
 		return nil, nil
 	}
-	p1 := s.Task(0).Period
+	var cv curve
+	cv.load(s, m, m)
 	ti := s.Task(i)
-	for L := p1 + 1; L < ti.Period; L++ {
-		demand := wcet(ti, m)
-		for j := 0; j < i; j++ {
-			tj := s.Task(j)
-			demand += (L - 1) / tj.Period * wcet(tj, m)
+	wi := wcet(ti, m)
+	var d task.Time // D(L): the demand of the shorter periods
+	si := 0
+	for L := s.Task(0).Period + 1; L < ti.Period; L++ {
+		for ; si < len(cv.steps) && cv.steps[si].L <= L; si++ {
+			d = cv.steps[si].d[0]
 		}
 		ls = append(ls, L)
-		demands = append(demands, demand)
+		demands = append(demands, wi+d)
 	}
 	return ls, demands
 }

@@ -1,7 +1,7 @@
 package feasibility
 
 import (
-	"math"
+	"slices"
 	"sort"
 
 	"nprt/internal/task"
@@ -13,30 +13,32 @@ import (
 // of feasibility-aware bin-packing (internal/cluster), where every Add
 // probes every candidate shard.
 //
-// Cached state: the set in task.New order (stable period sort) and, per
-// condition-2 row i ≥ 1, the exact minimum margin min_L (L − demand_i(L))
-// over all integer L in (p_1, p_i), for both admission profiles. Because
-// demand is piecewise constant, jumping only at L = k·p_j + 1, that minimum
-// is attained at a plateau start, so each row scan visits only the demand
-// step points (same argument as Check).
+// Cached state: the set in task.New order (stable period sort) and its
+// period-class curve (classscan.go) in both admission profiles: the shared
+// demand curve's step points and, per distinct period, the exact minimum
+// slack min_L (L − D(L)) and the largest WCET, whose row binds the class.
+// Add, Remove and Reset rescan one class per distinct period from the
+// changed period on; rows of a class are never scanned one by one.
 //
 // A probe for candidate c virtually inserts c at its task.New position (the
 // upper bound of its period, mirroring the stable sort of "existing specs +
-// appended candidate" that runtime.Add performs) and decides each row:
+// appended candidate" that runtime.Add performs) and decides each class:
 //
-//   - rows before the insertion point are untouched by c (their prior-task
-//     sets and intervals are unchanged) — cached verdicts stand;
-//   - the candidate's own row is scanned fresh;
-//   - a row at or after the insertion point gains at most
-//     ⌊(p_i−2)/p_c⌋·w_c demand at any L in its interval, so if its cached
-//     margin exceeds that bound the row provably still passes — for every L,
-//     including the new step points c introduces — and is skipped;
-//     otherwise it is rescanned with c included.
+//   - classes of shorter period are untouched by c (their intervals and
+//     demand are unchanged) — cached verdicts stand;
+//   - c's own class keeps its slack, and only its largest WCET may grow;
+//   - a longer class gains at most ⌊(p−2)/p_c⌋·w_c demand at any L in its
+//     interval, so if its cached slack covers that bound the class provably
+//     still passes — for every L, including the new step points c
+//     introduces — and is skipped; a class already failing stays failing.
+//
+// When a bound does not settle the verdict, or c opens a new shortest or
+// longest period, the classes from p_c on are rescanned on a scratch copy of the curve with
+// c inserted. A new class between two resident periods reads its slack off
+// the cached step points below it, which c does not change.
 //
 // Condition 1 is recomputed per probe as a float sum in merged order, which
 // keeps the verdict bit-identical to Check's (float addition order matters).
-// A candidate with a period strictly below the current minimum widens every
-// row's interval (p_1 changes); that rare case falls back to a full scan.
 //
 // The verdicts returned by Probe are proven bit-identical to running
 // feasibility.Profiles on the rebuilt set by the differential tests in
@@ -46,18 +48,9 @@ type Incremental struct {
 	periods []task.Time
 	wA, wD  []task.Time // WCET at task.Accurate / task.Deepest
 
-	rows []incRow // rows[i] for i ≥ 1; rows[0] unused
-
-	steps []task.Time // scratch: plateau starts, reused across scans
+	cv    curve // columns: 0 accurate, 1 deepest
+	probe curve // scratch for Probe's rescans
 }
-
-type incRow struct {
-	empty            bool // interval (p_1, p_i) holds no integer L
-	marginA, marginD task.Time
-}
-
-func (r incRow) okA() bool { return r.empty || r.marginA >= 0 }
-func (r incRow) okD() bool { return r.empty || r.marginD >= 0 }
 
 // NewIncremental builds the cache for the given tasks (insertion order, as
 // runtime.Runtime.Tasks() reports them); the slice is copied and stable
@@ -78,16 +71,15 @@ func (inc *Incremental) Reset(tasks []task.Task) {
 	inc.periods = make([]task.Time, n)
 	inc.wA = make([]task.Time, n)
 	inc.wD = make([]task.Time, n)
+	inc.cv.clear()
 	for i := range ts {
 		inc.names[i] = ts[i].Name
 		inc.periods[i] = ts[i].Period
 		inc.wA[i] = ts[i].WCET(task.Accurate)
 		inc.wD[i] = ts[i].WCET(task.Deepest)
+		inc.cv.join(inc.periods[i], [2]task.Time{inc.wA[i], inc.wD[i]})
 	}
-	inc.rows = make([]incRow, n)
-	for i := 1; i < n; i++ {
-		inc.rows[i] = inc.scanRow(i, -1, 0, 0, 0)
-	}
+	inc.cv.rescan(0)
 }
 
 // Len returns the number of cached tasks.
@@ -131,194 +123,119 @@ func (inc *Incremental) insertPos(p task.Time) int {
 	return sort.Search(len(inc.periods), func(i int) bool { return inc.periods[i] > p })
 }
 
-// mergedAt resolves merged index mi with a candidate virtually inserted at
-// k (k < 0: no candidate; arrays indexed directly).
-func (inc *Incremental) mergedAt(mi, k int, cp, cwA, cwD task.Time) (p, wa, wd task.Time) {
-	if k < 0 || mi < k {
-		return inc.periods[mi], inc.wA[mi], inc.wD[mi]
-	}
-	if mi == k {
-		return cp, cwA, cwD
-	}
-	return inc.periods[mi-1], inc.wA[mi-1], inc.wD[mi-1]
-}
-
-// scanRow computes the exact minimum condition-2 margins of the row at
-// merged index mi, with a candidate virtually inserted at k (or k < 0 for
-// the cached arrays as-is), visiting only demand plateau starts.
-func (inc *Incremental) scanRow(mi, k int, cp, cwA, cwD task.Time) incRow {
-	p1, _, _ := inc.mergedAt(0, k, cp, cwA, cwD)
-	pi, wiA, wiD := inc.mergedAt(mi, k, cp, cwA, cwD)
-	if pi < p1+2 {
-		return incRow{empty: true}
-	}
-	st := inc.steps[:0]
-	st = append(st, p1+1)
-	for j := 0; j < mi; j++ {
-		pj, _, _ := inc.mergedAt(j, k, cp, cwA, cwD)
-		for L := pj + 1; L < pi; L += pj {
-			if L <= p1+1 {
-				continue
-			}
-			st = append(st, L)
-		}
-	}
-	row := incRow{marginA: math.MaxInt64, marginD: math.MaxInt64}
-	for _, L := range st {
-		dA, dD := wiA, wiD
-		for j := 0; j < mi; j++ {
-			pj, wjA, wjD := inc.mergedAt(j, k, cp, cwA, cwD)
-			jobs := (L - 1) / pj
-			dA += jobs * wjA
-			dD += jobs * wjD
-		}
-		if m := L - dA; m < row.marginA {
-			row.marginA = m
-		}
-		if m := L - dD; m < row.marginD {
-			row.marginD = m
-		}
-	}
-	inc.steps = st[:0]
-	return row
-}
-
 // Probe reports whether the cached set plus candidate c would pass Theorem 1
 // in the accurate and deepest profiles — bit-identical to
 // feasibility.Profiles(task.New(existing..., c)) verdicts — without
 // mutating the cache.
 func (inc *Incremental) Probe(c *task.Task) (accurateOK, deepestOK bool) {
 	cp := c.Period
-	cwA, cwD := c.WCET(task.Accurate), c.WCET(task.Deepest)
+	w := [2]task.Time{c.WCET(task.Accurate), c.WCET(task.Deepest)}
 	n := len(inc.periods)
 
 	// Condition 1, merged order.
 	k := inc.insertPos(cp)
-	uA, uD := 0.0, 0.0
+	var u [2]float64
 	for mi := 0; mi <= n; mi++ {
-		p, wa, wd := inc.mergedAt(mi, k, cp, cwA, cwD)
-		uA += float64(wa) / float64(p)
-		uD += float64(wd) / float64(p)
+		p, wa, wd := cp, w[0], w[1]
+		if mi < k {
+			p, wa, wd = inc.periods[mi], inc.wA[mi], inc.wD[mi]
+		} else if mi > k {
+			p, wa, wd = inc.periods[mi-1], inc.wA[mi-1], inc.wD[mi-1]
+		}
+		u[0] += float64(wa) / float64(p)
+		u[1] += float64(wd) / float64(p)
 	}
-	okA, okD := !(uA > 1), !(uD > 1)
+	ok := [2]bool{!(u[0] > 1), !(u[1] > 1)}
 	if n == 0 {
-		return okA, okD
+		return ok[0], ok[1]
 	}
 
-	if cp < inc.periods[0] {
-		// Candidate becomes the new first task: every interval (p_1, p_i)
-		// widens. Rare; scan all merged rows from scratch.
-		for mi := 1; mi <= n && (okA || okD); mi++ {
-			row := inc.scanRow(mi, k, cp, cwA, cwD)
-			okA = okA && row.okA()
-			okD = okD && row.okD()
-		}
-		return okA, okD
+	cls := inc.cv.classes
+	ci := inc.cv.find(cp)
+	for i := 0; i < ci; i++ {
+		ok[0] = ok[0] && cls[i].pass(0)
+		ok[1] = ok[1] && cls[i].pass(1)
 	}
-
-	// Rows before the insertion point: untouched by c.
-	for i := 1; i < k && (okA || okD); i++ {
-		okA = okA && inc.rows[i].okA()
-		okD = okD && inc.rows[i].okD()
+	// A new shortest period widens every class's interval, and a new
+	// longest one reaches past the stored step points: both rescan. A new
+	// class in between reads its slack off the steps below it.
+	newClass := ci == len(cls) || cls[ci].p != cp
+	rescan := newClass && (ci == 0 || ci == len(cls))
+	if newClass && !rescan {
+		slack := inc.cv.slackBelow(cp)
+		ok[0] = ok[0] && w[0] <= slack[0]
+		ok[1] = ok[1] && w[1] <= slack[1]
 	}
-	// The candidate's own row (merged index k; k ≥ 1 here).
-	if okA || okD {
-		row := inc.scanRow(k, k, cp, cwA, cwD)
-		okA = okA && row.okA()
-		okD = okD && row.okD()
-	}
-	// Rows at or after the insertion point: skip when the cached margin
-	// covers the worst-case added demand, else rescan with c included.
-	for i := maxInt(k, 1); i < n && (okA || okD); i++ {
-		r := inc.rows[i]
-		if r.empty {
-			continue // interval unchanged (p_1 fixed): still no L to check
-		}
-		addA := (inc.periods[i] - 2) / cp * cwA
-		addD := (inc.periods[i] - 2) / cp * cwD
-		scan := false
-		if okA {
-			if r.marginA < 0 {
-				okA = false // already failing; added demand cannot help
-			} else if r.marginA < addA {
-				scan = true
+	for i := ci; i < len(cls) && !rescan && (ok[0] || ok[1]); i++ {
+		cl := &cls[i]
+		for col := range ok {
+			if !ok[col] {
+				continue
+			}
+			largest, add := cl.max[col], task.Time(0)
+			if cl.p == cp {
+				largest = max(largest, w[col])
+			} else {
+				add = (cl.p - 2) / cp * w[col]
+			}
+			if cl.slack[col] < largest {
+				ok[col] = false // the slack can only shrink
+			} else if cl.slack[col] < largest+add {
+				rescan = true
 			}
 		}
-		if okD {
-			if r.marginD < 0 {
-				okD = false
-			} else if r.marginD < addD {
-				scan = true
-			}
-		}
-		if scan && (okA || okD) {
-			row := inc.scanRow(i+1, k, cp, cwA, cwD)
-			okA = okA && row.okA()
-			okD = okD && row.okD()
+	}
+	if rescan && (ok[0] || ok[1]) {
+		sc := &inc.probe
+		sc.classes = append(sc.classes[:0], cls...)
+		keep := sort.Search(len(inc.cv.steps), func(i int) bool { return inc.cv.steps[i].L > cp })
+		sc.steps = append(sc.steps[:0], inc.cv.steps[:keep]...)
+		sc.top = inc.cv.top
+		sc.join(cp, w)
+		sc.rescan(cp)
+		for i := ci; i < len(sc.classes); i++ {
+			ok[0] = ok[0] && sc.classes[i].pass(0)
+			ok[1] = ok[1] && sc.classes[i].pass(1)
 		}
 	}
-	return okA, okD
+	return ok[0], ok[1]
 }
 
 // Add commits candidate c to the cache (the caller has decided to place it,
-// e.g. after the shard runtime admitted it). Rows from the insertion point
-// on are rescanned so cached margins stay exact.
+// e.g. after the shard runtime admitted it). The classes from c's period on
+// are rescanned so cached slacks stay exact.
 func (inc *Incremental) Add(c *task.Task) {
 	k := inc.insertPos(c.Period)
-	inc.names = append(inc.names, "")
-	copy(inc.names[k+1:], inc.names[k:])
-	inc.names[k] = c.Name
-	inc.periods = append(inc.periods, 0)
-	copy(inc.periods[k+1:], inc.periods[k:])
-	inc.periods[k] = c.Period
-	inc.wA = append(inc.wA, 0)
-	copy(inc.wA[k+1:], inc.wA[k:])
-	inc.wA[k] = c.WCET(task.Accurate)
-	inc.wD = append(inc.wD, 0)
-	copy(inc.wD[k+1:], inc.wD[k:])
-	inc.wD[k] = c.WCET(task.Deepest)
-	inc.rows = append(inc.rows, incRow{})
-	copy(inc.rows[k+1:], inc.rows[k:])
-	from := k
-	if k == 0 {
-		from = 1 // p_1 changed: every row's interval moved
-	}
-	for i := from; i < len(inc.periods); i++ {
-		inc.rows[i] = inc.scanRow(i, -1, 0, 0, 0)
-	}
+	w := [2]task.Time{c.WCET(task.Accurate), c.WCET(task.Deepest)}
+	inc.names = slices.Insert(inc.names, k, c.Name)
+	inc.periods = slices.Insert(inc.periods, k, c.Period)
+	inc.wA = slices.Insert(inc.wA, k, w[0])
+	inc.wD = slices.Insert(inc.wD, k, w[1])
+	inc.cv.join(c.Period, w)
+	inc.cv.rescan(c.Period)
 }
 
-// Remove drops the named task from the cache, rescanning affected rows.
-// It reports whether the name was present.
+// Remove drops the named task from the cache, rescanning the classes from
+// its period on. It reports whether the name was present.
 func (inc *Incremental) Remove(name string) bool {
-	r := -1
-	for i, n := range inc.names {
-		if n == name {
-			r = i
-			break
-		}
-	}
+	r := slices.Index(inc.names, name)
 	if r < 0 {
 		return false
 	}
-	inc.names = append(inc.names[:r], inc.names[r+1:]...)
-	inc.periods = append(inc.periods[:r], inc.periods[r+1:]...)
-	inc.wA = append(inc.wA[:r], inc.wA[r+1:]...)
-	inc.wD = append(inc.wD[:r], inc.wD[r+1:]...)
-	inc.rows = inc.rows[:len(inc.rows)-1]
-	from := r
-	if r == 0 {
-		from = 1
+	p := inc.periods[r]
+	w := [2]task.Time{inc.wA[r], inc.wD[r]}
+	inc.names = slices.Delete(inc.names, r, r+1)
+	inc.periods = slices.Delete(inc.periods, r, r+1)
+	inc.wA = slices.Delete(inc.wA, r, r+1)
+	inc.wD = slices.Delete(inc.wD, r, r+1)
+	// The class's remaining tasks sit in one run of equal periods.
+	var largest [2]task.Time
+	first := sort.Search(len(inc.periods), func(i int) bool { return inc.periods[i] >= p })
+	for i := first; i < len(inc.periods) && inc.periods[i] == p; i++ {
+		largest[0] = max(largest[0], inc.wA[i])
+		largest[1] = max(largest[1], inc.wD[i])
 	}
-	for i := from; i < len(inc.periods); i++ {
-		inc.rows[i] = inc.scanRow(i, -1, 0, 0, 0)
-	}
+	inc.cv.leave(p, w, largest)
+	inc.cv.rescan(p)
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

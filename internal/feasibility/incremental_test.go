@@ -153,9 +153,11 @@ func TestIncrementalProbeMatchesProfilesTableI(t *testing.T) {
 	}
 }
 
-// Seeded churn: adds (committed or not) and removes in random order, with
-// period ties, degraded residents (accurate-infeasible but deepest-feasible
-// sets), and utilization checks along the way.
+// Seeded churn: adds (committed or not, feasible or not) and removes in
+// random order, with period ties, degraded residents (accurate-infeasible
+// but deepest-feasible sets), and utilization checks along the way. Every
+// intermediate set's full Check Report must also match the exhaustive
+// oracle, violation lists included.
 func TestIncrementalProbeMatchesProfilesRandomChurn(t *testing.T) {
 	rnd := rand.New(rand.NewSource(929))
 	for trial := 0; trial < 60; trial++ {
@@ -187,6 +189,9 @@ func TestIncrementalProbeMatchesProfilesRandomChurn(t *testing.T) {
 			if rnd.Intn(2) == 0 {
 				inc.Add(&c)
 				specs = append(specs, c)
+			}
+			if len(specs) > 0 {
+				assertMatchesExhaustive(t, specs, "churn")
 			}
 			if len(specs) > 0 && step%7 == 0 {
 				s, err := task.New(specs)
@@ -220,6 +225,23 @@ func TestIncrementalProbeEmpty(t *testing.T) {
 	}
 }
 
+// A candidate opening a new period class between two resident periods is
+// decided by its own row against the demand below it, even when every
+// longer class passes by the bound alone: here p_c = 29 adds no job below
+// 30, so only the candidate's own WCET can fail.
+func TestIncrementalProbeNewClassBetweenPeriods(t *testing.T) {
+	specs := []task.Task{
+		{Name: "short", Period: 10, WCETAccurate: 2, WCETImprecise: 1},
+		{Name: "long", Period: 30, WCETAccurate: 2, WCETImprecise: 1},
+	}
+	inc := feasibility.NewIncremental(specs)
+	// Own row, accurate: w + 2 ≤ 11 at L = 11; deepest: w/2 + 1 ≤ 11.
+	for _, w := range []task.Time{9, 10, 21, 24} {
+		c := task.Task{Name: "gap", Period: 29, WCETAccurate: w, WCETImprecise: w / 2}
+		checkProbe(t, inc, specs, c, "gap")
+	}
+}
+
 func benchmarkSet(b *testing.B, n int) *task.Set {
 	b.Helper()
 	rnd := rand.New(rand.NewSource(5))
@@ -238,9 +260,47 @@ func benchmarkSet(b *testing.B, n int) *task.Set {
 	return s
 }
 
+// denseShard0 packs the dense pool first-fit onto two shards in the dense
+// admission workload's warm-up order (shapes permuted by seed 1), the way
+// the cluster places it: the first shard where the accurate profile passes,
+// else the first where the deepest one does. It returns shard 0's 113
+// tasks in admission order.
+func denseShard0(b *testing.B) []task.Task {
+	b.Helper()
+	pool := densePool(1)
+	shards := [2]*feasibility.Incremental{feasibility.NewIncremental(nil), feasibility.NewIncremental(nil)}
+	var shard0 []task.Task
+	for _, k := range rand.New(rand.NewSource(1)).Perm(len(pool)) {
+		c := pool[k]
+		at := -1
+		for i, sh := range shards {
+			acc, deep := sh.Probe(&c)
+			if acc {
+				at = i
+				break
+			}
+			if deep && at < 0 {
+				at = i
+			}
+		}
+		if at < 0 {
+			b.Fatalf("dense shape %d fits no shard", k)
+		}
+		shards[at].Add(&c)
+		if at == 0 {
+			shard0 = append(shard0, c)
+		}
+	}
+	if len(shard0) != 113 {
+		b.Fatalf("shard 0 holds %d dense tasks, want 113", len(shard0))
+	}
+	return shard0
+}
+
 // BenchmarkProfiles measures the admission screen itself: the step-point
-// Check in both profiles on a Table-I-scale set and on larger long-period
-// sets where the old unit-stride scan was O(p_n) per row.
+// Check in both profiles on a Table-I-scale set, on larger long-period
+// sets where the old unit-stride scan was O(p_n) per row, and on the dense
+// workload's harmonic 113-task shard.
 func BenchmarkProfiles(b *testing.B) {
 	cases, err := workload.CachedCases()
 	if err != nil {
@@ -250,10 +310,15 @@ func BenchmarkProfiles(b *testing.B) {
 	if err != nil {
 		b.Fatalf("case set: %v", err)
 	}
+	dense, err := task.New(denseShard0(b))
+	if err != nil {
+		b.Fatalf("dense shard: %v", err)
+	}
 	sets := map[string]*task.Set{
 		"tableI/" + cases[0].Name: s0,
 		"rand16":                  benchmarkSet(b, 16),
 		"rand64":                  benchmarkSet(b, 64),
+		"dense113":                dense,
 	}
 	for label, s := range sets {
 		b.Run(label, func(b *testing.B) {
@@ -270,7 +335,8 @@ func BenchmarkProfiles(b *testing.B) {
 
 // BenchmarkIncrementalProbe measures the bin-packing hot path: one probe
 // against an established resident set, versus the full Profiles
-// recomputation it replaces.
+// recomputation it replaces, and the mirror update an admission then pays
+// (an Add and the Remove that undoes it), also on the dense 113-task shard.
 func BenchmarkIncrementalProbe(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		s := benchmarkSet(b, n)
@@ -303,6 +369,45 @@ func BenchmarkIncrementalProbe(b *testing.B) {
 				}
 			}
 		})
+		b.Run("addremove/"+itoa(n), func(b *testing.B) { benchmarkAddRemove(b, inc, cand) })
+	}
+	// The dense shard's shortest period: the update that rescans the most.
+	inc := feasibility.NewIncremental(denseShard0(b))
+	cand := task.Task{Name: "cand", Period: 1000, WCETAccurate: 40, WCETImprecise: 13}
+	b.Run("probe/dense113", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			probeSink, _ = inc.Probe(&cand)
+		}
+	})
+	b.Run("full/dense113", func(b *testing.B) {
+		tasks := append(denseShard0(b), cand)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ms, err := task.New(tasks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reportSink, _ = feasibility.Profiles(ms)
+		}
+	})
+	b.Run("addremove/dense113", func(b *testing.B) { benchmarkAddRemove(b, inc, cand) })
+}
+
+// Sinks keep the benchmarked calls' results live.
+var (
+	probeSink  bool
+	reportSink feasibility.Report
+)
+
+func benchmarkAddRemove(b *testing.B, inc *feasibility.Incremental, cand task.Task) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		inc.Add(&cand)
+		if !inc.Remove(cand.Name) {
+			b.Fatal("benchmark candidate vanished")
+		}
 	}
 }
 
@@ -311,4 +416,120 @@ func itoa(n int) string {
 		return "16"
 	}
 	return "64"
+}
+
+// densePool returns the 200 task shapes of the dense admission workload:
+// harmonic periods 1000, 2000, 4000 and 8000 (divided by div) by 50
+// accurate WCETs spread over 20–95 (also divided by div), imprecise WCETs a
+// third of those. Whole classes share one period and many WCETs tie.
+func densePool(div task.Time) []task.Task {
+	periods := []task.Time{1000, 2000, 4000, 8000}
+	pool := make([]task.Task, 200)
+	for k := range pool {
+		w := (20 + task.Time(k/4)*77/50) / div
+		x := max(w/3, 1)
+		w = max(w, x+1)
+		pool[k] = task.Task{Name: name(k + 1), Period: periods[k%4] / div,
+			WCETAccurate: w, WCETImprecise: x}
+	}
+	return pool
+}
+
+// assertMatchesExhaustive asserts that Check reproduces the unit-stride oracle's
+// full Report, violations included, in both profiles.
+func assertMatchesExhaustive(t *testing.T, specs []task.Task, ctx string) {
+	t.Helper()
+	s, err := task.New(specs)
+	if err != nil {
+		t.Fatalf("%s: task.New: %v", ctx, err)
+	}
+	for _, m := range []task.Mode{task.Accurate, task.Deepest} {
+		if got, want := feasibility.Check(s, m), feasibility.CheckExhaustive(s, m); !reportsEqual(got, want) {
+			t.Fatalf("%s mode %d: Check diverges from the oracle:\n got %+v\nwant %+v", ctx, m, got, want)
+		}
+	}
+}
+
+// The dense workload's harmonic, tie-heavy shape (periods scaled down so
+// the unit-stride oracle stays fast), packed first-fit onto one shard the
+// way the cluster places it: every probe matches the Profiles oracle, and
+// Check matches the exhaustive oracle as the shard fills past the point
+// where the accurate profile fails.
+func TestIncrementalHarmonicTies(t *testing.T) {
+	pool := densePool(20)
+	rnd := rand.New(rand.NewSource(17))
+	rnd.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
+	inc := feasibility.NewIncremental(nil)
+	var specs []task.Task
+	accFailed := false
+	for i, c := range pool {
+		checkProbe(t, inc, specs, c, "harmonic")
+		accOK, deepOK := inc.Probe(&c)
+		if !deepOK {
+			continue
+		}
+		accFailed = accFailed || !accOK
+		inc.Add(&c)
+		specs = append(specs, c)
+		if i%16 == 0 {
+			assertMatchesExhaustive(t, specs, "harmonic")
+		}
+	}
+	assertMatchesExhaustive(t, specs, "harmonic/full")
+	assertMatchesExhaustive(t, pool, "harmonic/pool") // infeasible in both profiles
+	if !accFailed || len(specs) < 50 {
+		t.Fatalf("shard of %d tasks never left the accurate profile: the test lost its tie-heavy overload", len(specs))
+	}
+	// Churn the packed shard: remove and re-add residents, probing all the
+	// while.
+	for step := 0; step < 200; step++ {
+		v := rnd.Intn(len(specs))
+		victim := specs[v]
+		if !inc.Remove(victim.Name) {
+			t.Fatalf("Remove(%q) reported absent", victim.Name)
+		}
+		specs = append(specs[:v], specs[v+1:]...)
+		c := pool[rnd.Intn(len(pool))]
+		c.Name = name(1000 + step)
+		checkProbe(t, inc, specs, c, "harmonic/churn")
+		if _, deepOK := inc.Probe(&c); deepOK {
+			inc.Add(&c)
+			specs = append(specs, c)
+		}
+		if step%40 == 0 {
+			assertMatchesExhaustive(t, specs, "harmonic/churn")
+		}
+	}
+}
+
+// An update rescans one class per distinct period from the changed period
+// on, never row by row: on the dense pool (4 periods) an Add or Remove
+// reads at most 4 class slacks and regenerates at most the 7 step points
+// below the longest period, where the per-row rescan it replaces rescanned
+// up to every resident row.
+func TestIncrementalWorkPerUpdate(t *testing.T) {
+	pool := densePool(1)
+	inc := feasibility.NewIncremental(pool[:113])
+	if cs, _ := inc.WorkCounts(); cs != 4 {
+		t.Fatalf("Reset read %d class slacks, want 4 (one per period)", cs)
+	}
+	// Class slacks read and step points generated per update, by period.
+	want := map[task.Time][2]int{1000: {4, 7}, 2000: {3, 6}, 4000: {2, 4}, 8000: {1, 0}}
+	for i := 113; i < len(pool); i++ {
+		for _, update := range []string{"add", "remove"} {
+			cs0, sp0 := inc.WorkCounts()
+			c := pool[i]
+			if update == "add" {
+				inc.Add(&c)
+			} else {
+				inc.Remove(pool[i-113].Name)
+				c = pool[i-113]
+			}
+			cs, sp := inc.WorkCounts()
+			if got := [2]int{cs - cs0, sp - sp0}; got != want[c.Period] {
+				t.Fatalf("%s of period %d: (class scans, step points) = %v, want %v",
+					update, c.Period, got, want[c.Period])
+			}
+		}
+	}
 }

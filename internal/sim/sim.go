@@ -214,8 +214,8 @@ type Result struct {
 	// misses are already counted. Overload governors use this alongside the
 	// miss rate to grade how badly a window overran.
 	MaxLateness task.Time
-	Trace           *trace.Trace // first TraceLimit entries (nil when TraceLimit == 0)
-	Aborted         bool         // true when StopOnMiss fired
+	Trace       *trace.Trace // first TraceLimit entries (nil when TraceLimit == 0)
+	Aborted     bool         // true when StopOnMiss fired
 	// Faults is the fault-injection accounting; nil when Config.Faults was
 	// nil. Failed jobs (watchdog kills, crashes, dropped releases) count as
 	// deadline misses and charge the task's deepest-level mean error (the

@@ -314,34 +314,42 @@ func rnd5() (*Case, error) {
 	return c, c.verify()
 }
 
+// randomSpecs are the generated Table I cases in order; a case's build
+// seed is 1000·(its index here + 1).
+var randomSpecs = []struct {
+	name    string
+	n       int
+	utilAcc float64
+	jobs    int
+	impOK   bool
+}{
+	{"Rnd1", 2, 1.13, 13, true},
+	{"Rnd2", 3, 1.88, 3, false},
+	{"Rnd3", 5, 1.93, 15, true},
+	{"Rnd4", 3, 1.20, 16, true},
+	// Rnd5 is built by rnd5 and follows Rnd4.
+	{"Rnd6", 6, 2.20, 38, true},
+	{"Rnd7", 8, 4.43, 38, true},
+	{"Rnd8", 12, 2.91, 60, true},
+	{"Rnd9", 15, 1.93, 24, true},
+	{"Rnd10", 17, 4.99, 126, true},
+	{"Rnd11", 20, 3.57, 105, true},
+	{"Rnd12", 22, 5.47, 130, true},
+	{"Rnd13", 25, 7.12, 163, true},
+}
+
+func buildRandomSpec(i int) (*Case, error) {
+	sp := randomSpecs[i]
+	return buildRandomCase(sp.name, sp.n, sp.jobs, sp.utilAcc, sp.impOK, uint64(1000*(i+1)))
+}
+
 // Cases returns the full benchmark suite: Rnd1–Rnd13 plus the IDCT case,
 // in Table I order. Construction is deterministic; errors indicate a bug
 // (the tests lock the characteristics).
 func Cases() ([]*Case, error) {
-	specs := []struct {
-		name    string
-		n       int
-		utilAcc float64
-		jobs    int
-		impOK   bool
-	}{
-		{"Rnd1", 2, 1.13, 13, true},
-		{"Rnd2", 3, 1.88, 3, false},
-		{"Rnd3", 5, 1.93, 15, true},
-		{"Rnd4", 3, 1.20, 16, true},
-		// Rnd5 handled specially below.
-		{"Rnd6", 6, 2.20, 38, true},
-		{"Rnd7", 8, 4.43, 38, true},
-		{"Rnd8", 12, 2.91, 60, true},
-		{"Rnd9", 15, 1.93, 24, true},
-		{"Rnd10", 17, 4.99, 126, true},
-		{"Rnd11", 20, 3.57, 105, true},
-		{"Rnd12", 22, 5.47, 130, true},
-		{"Rnd13", 25, 7.12, 163, true},
-	}
 	var out []*Case
-	for i, sp := range specs {
-		c, err := buildRandomCase(sp.name, sp.n, sp.jobs, sp.utilAcc, sp.impOK, uint64(1000*(i+1)))
+	for i, sp := range randomSpecs {
+		c, err := buildRandomSpec(i)
 		if err != nil {
 			return nil, err
 		}
@@ -362,15 +370,17 @@ func Cases() ([]*Case, error) {
 	return out, nil
 }
 
-// CaseByName returns one case from the suite.
+// CaseByName builds one case of the suite, and only that one.
 func CaseByName(name string) (*Case, error) {
-	cs, err := Cases()
-	if err != nil {
-		return nil, err
+	switch name {
+	case "Rnd5":
+		return rnd5()
+	case "IDCT":
+		return IDCTCase()
 	}
-	for _, c := range cs {
-		if c.Name == name {
-			return c, nil
+	for i, sp := range randomSpecs {
+		if sp.name == name {
+			return buildRandomSpec(i)
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown case %q", name)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,6 +108,27 @@ func TestCaseByName(t *testing.T) {
 	}
 	if _, err := CaseByName("nope"); err == nil || !strings.Contains(err.Error(), "unknown") {
 		t.Errorf("unknown case error = %v", err)
+	}
+}
+
+// CaseByName builds only the named case, and it must be the very case the
+// whole suite builds: same seed, same tasks, same expectations.
+func TestCaseByNameMatchesCases(t *testing.T) {
+	cases, err := Cases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range cases {
+		got, err := CaseByName(want.Name)
+		if err != nil {
+			t.Fatalf("CaseByName(%s): %v", want.Name, err)
+		}
+		if got == want {
+			t.Fatalf("CaseByName(%s) shares the suite's *Case", want.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("CaseByName(%s) differs from Cases()[%d]", want.Name, i)
+		}
 	}
 }
 
