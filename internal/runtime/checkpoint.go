@@ -198,9 +198,12 @@ func FromCheckpoint(cp *Checkpoint) (*Runtime, error) {
 
 	// Rebuild the derived plan for the restored set.
 	var d Decision
-	if err := r.rebuild(cp.Tasks, set, &d); err != nil {
+	if err := r.rebuild(set, &d); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
+	// Add and Remove update the specs in place, so the runtime owns its
+	// copy rather than writing into the caller's snapshot.
+	r.specs = append([]TaskSpec(nil), cp.Tasks...)
 	r.met = cp.Metrics // rebuild bumped Replans; the snapshot's counters win
 	r.shed = append([]string(nil), cp.Shed...)
 	r.overloadLeft = cp.OverloadLeft

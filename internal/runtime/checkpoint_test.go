@@ -3,6 +3,8 @@ package runtime
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,6 +126,30 @@ func TestKillRestoreDifferential(t *testing.T) {
 		if r2.Digest() != ref.Digest() {
 			t.Fatalf("kill@%d: final digest %x, want %x", kill, r2.Digest(), ref.Digest())
 		}
+	}
+}
+
+// TestRestoreDoesNotAliasCheckpoint mutates a restored runtime and checks
+// that the decoded snapshot it came from is unchanged.
+func TestRestoreDoesNotAliasCheckpoint(t *testing.T) {
+	r := mkRuntime(t, soakOptions(9))
+	for _, n := range []string{"a", "b", "c"} {
+		mustAdd(t, r, TaskSpec{Task: mkTask(n, 40, 4, 2)})
+	}
+	cp := r.Checkpoint()
+	cp.Tasks = slices.Grow(cp.Tasks, 4) // room an in-place append could use
+	before := slices.Clone(cp.Tasks)
+
+	r2, err := FromCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, r2, TaskSpec{Task: mkTask("d", 20, 4, 2)})
+	if !reflect.DeepEqual(cp.Tasks, before) || !reflect.DeepEqual(cp.Tasks[:cap(cp.Tasks)][len(before)], TaskSpec{}) {
+		t.Fatalf("restored runtime wrote into the checkpoint: %+v", cp.Tasks[:cap(cp.Tasks)])
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -353,12 +354,13 @@ func (r *Runtime) Add(spec TaskSpec) (Decision, error) {
 		return d, fmt.Errorf("%w: %q", ErrDuplicateTask, spec.Task.Name)
 	}
 
-	cand := make([]task.Task, 0, len(r.specs)+1)
-	for i := range r.specs {
-		cand = append(cand, r.specs[i].Task)
+	var candSet *task.Set
+	var err error
+	if r.set == nil {
+		candSet, err = task.New([]task.Task{spec.Task})
+	} else {
+		candSet, err = r.set.With(spec.Task)
 	}
-	cand = append(cand, spec.Task)
-	candSet, err := task.New(cand)
 	if err != nil {
 		// Structurally inadmissible (e.g. hyper-period overflow): a valid
 		// request whose admission is impossible, not a malformed request.
@@ -379,10 +381,10 @@ func (r *Runtime) Add(spec TaskSpec) (Decision, error) {
 		return d, nil
 	}
 
-	newSpecs := append(append([]TaskSpec(nil), r.specs...), spec)
-	if err := r.rebuild(newSpecs, candSet, &d); err != nil {
+	if err := r.rebuild(candSet, &d); err != nil {
 		return d, err
 	}
+	r.specs = append(r.specs, spec)
 	if acc.Schedulable {
 		d.Verdict = Admitted
 		r.met.Admits++
@@ -405,25 +407,15 @@ func (r *Runtime) Remove(name string) (Decision, error) {
 	if i < 0 {
 		return d, fmt.Errorf("%w: %q", ErrUnknownTask, name)
 	}
-	newSpecs := append(append([]TaskSpec(nil), r.specs[:i]...), r.specs[i+1:]...)
-
-	var newSet *task.Set
-	if len(newSpecs) > 0 {
-		cand := make([]task.Task, len(newSpecs))
-		for j := range newSpecs {
-			cand[j] = newSpecs[j].Task
-		}
-		var err error
-		newSet, err = task.New(cand)
-		if err != nil {
-			return d, fmt.Errorf("runtime: rebuilding set after remove: %w", err)
-		}
+	newSet := r.set.Without(r.setIndex(name))
+	if newSet != nil {
 		acc, deep := feasibility.Profiles(newSet)
 		d.fillProfiles(acc, deep)
 	}
-	if err := r.rebuild(newSpecs, newSet, &d); err != nil {
+	if err := r.rebuild(newSet, &d); err != nil {
 		return d, err
 	}
+	r.specs = slices.Delete(r.specs, i, i+1)
 	// Drop the removed task from the shed set, preserving shed order.
 	kept := r.shed[:0]
 	for _, n := range r.shed {
@@ -468,10 +460,20 @@ func (r *Runtime) findSpec(name string) int {
 	return -1
 }
 
-// rebuild commits a new spec list and effective set, re-planning the policy.
-// On planner failure the runtime keeps its previous state and the error is
-// returned (admission must be atomic).
-func (r *Runtime) rebuild(specs []TaskSpec, set *task.Set, d *Decision) error {
+// setIndex returns the index of the named task in the effective set, which
+// must hold it.
+func (r *Runtime) setIndex(name string) int {
+	i := 0
+	for r.set.Task(i).Name != name {
+		i++
+	}
+	return i
+}
+
+// rebuild commits a new effective set, re-planning the policy. On planner
+// failure the runtime keeps its previous state and the error is returned
+// (admission must be atomic); callers update r.specs only after it succeeds.
+func (r *Runtime) rebuild(set *task.Set, d *Decision) error {
 	var pol sim.Policy
 	var prov *offline.PlanProvenance
 	if set != nil {
@@ -489,7 +491,7 @@ func (r *Runtime) rebuild(specs []TaskSpec, set *task.Set, d *Decision) error {
 		d.Replanned = true
 		r.met.Replans++
 	}
-	r.specs, r.set, r.policy, r.prov = specs, set, pol, prov
+	r.set, r.policy, r.prov = set, pol, prov
 	return nil
 }
 

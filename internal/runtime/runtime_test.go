@@ -2,6 +2,10 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"nprt/internal/offline"
@@ -329,5 +333,68 @@ func TestShedPolicyForcesDeepest(t *testing.T) {
 	}
 	if rep.Accurate != 0 {
 		t.Errorf("%d accurate executions while shed, want 0 (imprecise %d)", rep.Accurate, rep.Imprecise)
+	}
+}
+
+// TestChurnKeepsSetEqualToNew drives a seeded add/remove churn, with
+// rejections, duplicate names and unknown removes, and checks after every
+// Apply that the incrementally maintained set is exactly task.New of the
+// admitted specs and that Tasks() stays in insertion order.
+func TestChurnKeepsSetEqualToNew(t *testing.T) {
+	r := mkRuntime(t, Options{})
+	rng := rand.New(rand.NewSource(5))
+	periods := []task.Time{20, 40, 40, 80, 80, 80}
+	var held []string // admitted names, insertion order
+	var rejects, removes, stale int
+	for step := 0; step < 600; step++ {
+		name := fmt.Sprintf("n%d", rng.Intn(24))
+		var ev Event
+		if rng.Intn(5) < 3 {
+			p := periods[rng.Intn(len(periods))]
+			w := 2 + task.Time(rng.Intn(int(p/3)))
+			ev = Event{Op: "add", Task: &TaskSpec{Task: mkTask(name, p, w, 1+w/4), Criticality: rng.Intn(3)}}
+		} else {
+			ev = Event{Op: "remove", Name: name}
+		}
+		d, err := r.Apply(ev)
+		switch {
+		case IsStaleRequest(err):
+			stale++
+		case err != nil:
+			t.Fatalf("step %d: %v", step, err)
+		case ev.Op == "remove":
+			removes++
+			held = slices.DeleteFunc(held, func(n string) bool { return n == name })
+		case d.Verdict == Rejected:
+			rejects++
+		default:
+			held = append(held, name)
+		}
+
+		specs := r.Tasks()
+		names := make([]string, len(specs))
+		ts := make([]task.Task, len(specs))
+		for i := range specs {
+			names[i], ts[i] = specs[i].Task.Name, specs[i].Task
+		}
+		if !slices.Equal(names, held) {
+			t.Fatalf("step %d: Tasks() order %v, want insertion order %v", step, names, held)
+		}
+		if len(ts) == 0 {
+			if r.Set() != nil {
+				t.Fatalf("step %d: empty runtime holds set %v", step, r.Set())
+			}
+			continue
+		}
+		want, err := task.New(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Set(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: set differs from task.New(Tasks()):\n%v\nvs\n%v", step, got, want)
+		}
+	}
+	if rejects == 0 || removes == 0 || stale == 0 {
+		t.Fatalf("churn too tame: %d rejects, %d removes, %d stale", rejects, removes, stale)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"nprt/internal/task"
 )
 
 // The admit benchmarks model the serve architecture honestly: a closed
@@ -154,4 +156,58 @@ func BenchmarkAdmitGroupCommit(b *testing.B) {
 			benchAdmit(b, conc, true)
 		})
 	}
+}
+
+// BenchmarkRuntimeChurn measures one admission round trip on a dense
+// resident set: remove a task, then add its twin (same period and WCETs,
+// another name), so the set's shape never changes. The pool is the
+// admit-dense workload's: harmonic periods 1000–8000 µs by 50 accurate
+// WCETs over 20–95 µs, imprecise WCETs a third of them, added in shape
+// order until 113 are resident (the size first-fit gives shard 0 there).
+// One op is one remove+add pair on the in-memory Runtime, no journal.
+func BenchmarkRuntimeChurn(b *testing.B) {
+	b.Run("dense113", func(b *testing.B) {
+		const resident = 113
+		periods := []task.Time{1000, 2000, 4000, 8000}
+		shape := func(k int, twin string) TaskSpec {
+			w := task.Time(20 + k/len(periods)*77/50)
+			return TaskSpec{Task: mkTask(fmt.Sprintf("%s%03d", twin, k), periods[k%len(periods)], w, w/3),
+				Criticality: k % 4}
+		}
+		r, err := New(Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var held []int // shape of each resident task
+		for k := 0; len(held) < resident && k < 200; k++ {
+			d, err := r.Add(shape(k, "a"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if d.Verdict != Rejected {
+				held = append(held, k)
+			}
+		}
+		if len(held) != resident {
+			b.Fatalf("warm-up admitted %d tasks, want %d", len(held), resident)
+		}
+		twins := make([][2]TaskSpec, 200)
+		for _, k := range held {
+			twins[k] = [2]TaskSpec{shape(k, "a"), shape(k, "b")}
+		}
+		live := make([]int, 200) // which twin of each shape is resident
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := held[i*37%resident]
+			if _, err := r.Remove(twins[k][live[k]].Task.Name); err != nil {
+				b.Fatal(err)
+			}
+			live[k] ^= 1
+			d, err := r.Add(twins[k][live[k]])
+			if err != nil || d.Verdict == Rejected {
+				b.Fatalf("re-adding shape %d: %+v, %v", k, d, err)
+			}
+		}
+	})
 }
