@@ -1,16 +1,16 @@
-// Cluster modes: with -shards N > 1 the durable tape and serve modes run
-// a partition-aware router over N shard stores instead of one store. The
-// contract is unchanged — same tape, same exit codes, same signal
-// handling, same crash-only recovery — the state is just wider.
+// Durable modes: with -dir the tape mode and the HTTP service run over a
+// cluster of -shards shard stores (default 1) behind the partition-aware
+// router. One shard is the single node — shard 0 runs the root seed and
+// the cluster digest of one shard is that store's digest — so the width
+// changes how far the state spreads, never the contract: same tape, same
+// exit codes, same signal handling, same crash-only recovery.
 package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"os"
@@ -24,63 +24,59 @@ import (
 	"nprt/internal/serve"
 )
 
-// clusterStoreOptions is the per-shard store template shared by both
-// cluster modes — the same knobs runDurable/runServe hand OpenStore.
-func clusterStoreOptions(fs flags, opts schedrt.Options, fsyncs *int) schedrt.StoreOptions {
-	return schedrt.StoreOptions{
-		Runtime:     opts,
-		AfterSync:   crashHook(fs, fsyncs),
-		CommitBatch: *fs.commitBatch,
-		CommitDelay: *fs.commitDelay,
+// openCluster recovers (or initializes) the cluster under -dir. relaxedMeta
+// is the serve mode's write-behind meta journal; tape mode fsyncs every
+// placement record.
+func openCluster(fs flags, opts schedrt.Options, fsyncs *int, relaxedMeta bool) (*cluster.Cluster, error) {
+	c, err := cluster.Open(*fs.dir, cluster.Options{
+		Shards:    *fs.shards,
+		Replicas:  *fs.replicas,
+		Placement: *fs.placement,
+		Store: schedrt.StoreOptions{
+			Runtime:     opts,
+			AfterSync:   crashHook(fs, fsyncs),
+			CommitBatch: *fs.commitBatch,
+			CommitDelay: *fs.commitDelay,
+		},
+		RelaxedMeta:   relaxedMeta,
+		LatencySLO:    *fs.latencySLO,
+		AdmitDeadline: *fs.deadline,
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-func printClusterRecovery(fs flags, c *cluster.Cluster) {
 	rec := c.Recovery()
-	replayed := 0
+	if rec.AdoptedStore {
+		fmt.Printf("adopted:     single-store layout in %s as shard 0\n", *fs.dir)
+	}
+	restored := rec.Cursor > 0 || rec.ReplayedPlacements > 0
 	for _, sr := range rec.Shards {
-		replayed += sr.ReplayedEvents + sr.ReplayedEpochs
+		restored = restored || sr.FromCheckpoint != "" || sr.ReplayedEvents+sr.ReplayedEpochs > 0
 	}
-	if rec.Cursor == 0 && replayed == 0 && rec.ReplayedPlacements == 0 {
-		return
+	if restored {
+		fmt.Printf("restored:    %s at epoch %d (digest %016x, cursor %d, %d placements replayed, %d adopted, %d dropped)\n",
+			*fs.dir, c.Epoch(), c.Digest(), rec.Cursor, rec.ReplayedPlacements, rec.Adopted, rec.Dropped)
 	}
-	fmt.Printf("restored:    %s at epoch %d (cursor %d, %d placements replayed, %d adopted, %d dropped)\n",
-		*fs.dir, c.Epoch(), rec.Cursor, rec.ReplayedPlacements, rec.Adopted, rec.Dropped)
-}
-
-// clusterDigest folds the per-shard digests into one run identity, so the
-// sweep's single digest line compares whole-cluster recoveries.
-func clusterDigest(c *cluster.Cluster) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, d := range c.Digests() {
-		binary.BigEndian.PutUint64(buf[:], d)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
+	return c, nil
 }
 
 func printClusterSummary(c *cluster.Cluster, horizon int64) {
-	m := c.Metrics()
 	fmt.Printf("shards:      %d (placement %s)\n", len(c.Shards()), c.Policy().Name())
-	fmt.Printf("epochs:      %d (of horizon %d)\n", c.Epoch(), horizon)
-	fmt.Printf("jobs:        %d, misses %d (%d in degraded windows)\n",
-		m.Jobs, m.Misses, m.MissesDegraded)
-	fmt.Printf("admission:   %d admitted (%d degraded), %d rejected, %d removed\n",
-		m.Admits, m.AdmitsDegraded, m.Rejects, m.Removes)
 	for _, sh := range c.Shards() {
 		fmt.Printf("shard %03d:   %d tasks, digest %016x\n", sh.ID, sh.Resident(), sh.Store.Digest())
 	}
-	fmt.Printf("digest:      %016x\n", clusterDigest(c))
+	printSummary(c.Metrics(), c.Epoch(), horizon, c.Digest())
 }
 
-// runDurableCluster is runDurable at cluster width: the tape plays one
-// epoch at a time (the signal boundary) through the serial router — the
-// durable resume contract (skip exactly the journaled sequence prefix)
-// holds only when events become durable in tape order. -shard-parallel
-// opts into the concurrent group-commit drive for throughput runs that
-// accept replay-from-checkpoint on interruption.
-func runDurableCluster(fs flags) int {
+// runDurable is the -dir tape mode: the in-memory play loop over a
+// crash-only cluster — every mutation journaled before it is applied, a
+// checkpoint every -checkpoint-every epochs, recovery on open. The tape
+// plays one epoch at a time (the signal boundary) through the serial
+// router: the durable resume contract (skip exactly the journaled sequence
+// prefix) holds only when events become durable in tape order.
+// -shard-parallel opts into the concurrent group-commit drive for
+// throughput runs that accept replay-from-checkpoint on interruption.
+func runDurable(fs flags) int {
 	if *fs.tape == "" {
 		fmt.Fprintln(os.Stderr, "impserve: -dir needs -tape (or -listen for the HTTP service)")
 		return exitInvalidInput
@@ -100,20 +96,12 @@ func runDurableCluster(fs flags) int {
 	}
 
 	fsyncs := 0
-	c, err := cluster.Open(*fs.dir, cluster.Options{
-		Shards:        *fs.shards,
-		Replicas:      *fs.replicas,
-		Placement:     *fs.placement,
-		Store:         clusterStoreOptions(fs, opts, &fsyncs),
-		LatencySLO:    *fs.latencySLO,
-		AdmitDeadline: *fs.deadline,
-	})
+	c, err := openCluster(fs, opts, &fsyncs, false)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "impserve: opening cluster %s: %v\n", *fs.dir, err)
+		fmt.Fprintf(os.Stderr, "impserve: opening %s: %v\n", *fs.dir, err)
 		return exitInvalidInput
 	}
 	defer c.Close()
-	printClusterRecovery(fs, c)
 
 	horizon := tapeHorizon(fs, tp)
 	jsonl, code := openJSONL(fs)
@@ -182,6 +170,8 @@ func runDurableCluster(fs flags) int {
 		}
 	}
 
+	// A final checkpoint bounds the next open's replay; the journals alone
+	// would recover identically, just more slowly.
 	if err := c.Checkpoint(); err != nil {
 		fmt.Fprintln(os.Stderr, "impserve:", err)
 		return exitInternal
@@ -194,11 +184,21 @@ func runDurableCluster(fs flags) int {
 	return exitOK
 }
 
-// runServeCluster is runServe at cluster width: the same bind-first
-// listener, handler indirection and supervisor, but each incarnation
-// recovers the whole cluster and attaches the partition-aware server —
-// every /admit routes through placement, /state aggregates the shards.
-func runServeCluster(fs flags) int {
+// runServe is the supervised HTTP service: the listener binds first (so
+// probes see "alive, not ready" instead of connection refused), then each
+// supervisor incarnation recovers the cluster, attaches the control plane,
+// and serves until a fatal store error (restart, with backoff) or a
+// signal (graceful drain, exit 0). Every /admit routes through placement;
+// /state aggregates the shards.
+func runServe(fs flags) int {
+	if *fs.dir == "" {
+		fmt.Fprintln(os.Stderr, "impserve: -listen needs -dir (the service is durable or it is nothing)")
+		return exitInvalidInput
+	}
+	if *fs.tape != "" {
+		fmt.Fprintln(os.Stderr, "impserve: -listen and -tape are exclusive; the service admits over HTTP")
+		return exitInvalidInput
+	}
 	opts, code := runtimeOptions(fs)
 	if code != exitOK {
 		return code
@@ -209,8 +209,10 @@ func runServeCluster(fs flags) int {
 		fmt.Fprintln(os.Stderr, "impserve:", err)
 		return exitInvalidInput
 	}
-	fmt.Printf("listening:   %s (%d shards, placement %s)\n", ln.Addr(), *fs.shards, *fs.placement)
+	fmt.Printf("listening:   %s\n", ln.Addr())
 
+	// The handler indirection outlives any single incarnation: between
+	// restarts (and before the first attach) everything but /healthz is 503.
 	var current atomic.Pointer[http.Handler]
 	httpSrv := &http.Server{
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -249,20 +251,12 @@ func runServeCluster(fs flags) int {
 		},
 	}
 	err = sup.Run(ctx, func(ctx context.Context) error {
-		c, err := cluster.Open(*fs.dir, cluster.Options{
-			Shards:        *fs.shards,
-			Replicas:      *fs.replicas,
-			Placement:     *fs.placement,
-			Store:         clusterStoreOptions(fs, opts, &fsyncs),
-			RelaxedMeta:   true,
-			LatencySLO:    *fs.latencySLO,
-			AdmitDeadline: *fs.deadline,
-		})
+		c, err := openCluster(fs, opts, &fsyncs, true)
 		if err != nil {
 			return err
 		}
 		defer c.Close()
-		printClusterRecovery(fs, c)
+		fmt.Printf("serving:     %d shards (placement %s)\n", len(c.Shards()), c.Policy().Name())
 
 		srv := cluster.NewServer(cluster.ServeOptions{
 			QueueDepth:      *fs.queue,
@@ -284,6 +278,8 @@ func runServeCluster(fs flags) int {
 			srv.Shutdown(shctx)
 			return err
 		case <-ctx.Done():
+			// Graceful drain: bar the door, apply everything accepted,
+			// leave the journals clean. Exit 0 — recovery needs nothing.
 			shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			if err := srv.Shutdown(shctx); err != nil {
@@ -291,7 +287,7 @@ func runServeCluster(fs flags) int {
 			}
 			fmt.Printf("drained:     epoch %d\n", c.Epoch())
 			fmt.Printf("epochs:      %d\n", c.Epoch())
-			fmt.Printf("digest:      %016x\n", clusterDigest(c))
+			fmt.Printf("digest:      %016x\n", c.Digest())
 			return nil
 		}
 	})

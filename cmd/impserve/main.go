@@ -9,6 +9,7 @@
 //	impserve -restore state.json -tape churn.json    # resume after a kill
 //	impserve -tape churn.json -dir state/            # serve it (durable WAL)
 //	impserve -dir state/ -listen 127.0.0.1:8080      # supervised HTTP service
+//	impserve -dir state/ -listen :8080 -shards 8     # the same, partitioned
 //	impserve -sweep -sweep-out sweep.json            # crash-point sweep proof
 //	impserve -fsck -dir state/                       # offline integrity scrub
 //
@@ -20,7 +21,10 @@
 //
 // With -dir the state is crash-only: every mutation is journaled to a
 // write-ahead log before it is applied, and restart recovers from the
-// newest good checkpoint plus a digest-cross-checked replay. -sweep holds
+// newest good checkpoint plus a digest-cross-checked replay. Both durable
+// modes run the same stack, a cluster of -shards shard stores behind the
+// partition-aware router (cluster.go); the default single shard is the
+// single node, and its digest equals the in-memory run's. -sweep holds
 // the proof obligation mechanically — it re-executes this binary, killing
 // it at every fsync boundary (exit code 7), and verifies each recovery
 // reaches the uncrashed digest on both dispatch engines.
@@ -41,26 +45,21 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"nprt/internal/cluster"
 	"nprt/internal/experiments"
 	schedrt "nprt/internal/runtime"
-	"nprt/internal/serve"
 	"nprt/internal/sim"
 )
 
@@ -167,235 +166,11 @@ func run() int {
 		}
 		fmt.Printf("checkpoint:  %s\n", *fs.checkpoint)
 	}
-	printSummary(r, horizon)
+	printSummary(r.Metrics(), r.Epoch(), horizon, r.Digest())
 	if interrupted {
 		return exitInterrupted
 	}
 	return exitOK
-}
-
-// runDurable is the -dir tape mode: the same play loop, but over a
-// crash-only store — every mutation journaled before it is applied, a
-// checkpoint every -checkpoint-every epochs, recovery on open.
-func runDurable(fs flags) int {
-	if *fs.shards > 1 {
-		return runDurableCluster(fs)
-	}
-	if *fs.tape == "" {
-		fmt.Fprintln(os.Stderr, "impserve: -dir needs -tape (or -listen for the HTTP service)")
-		return exitInvalidInput
-	}
-	if *fs.restore != "" || *fs.checkpoint != "" {
-		fmt.Fprintln(os.Stderr, "impserve: -dir manages its own checkpoints; drop -restore/-checkpoint")
-		return exitInvalidInput
-	}
-	tp, err := readTape(*fs.tape, *fs.strict)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitInvalidInput
-	}
-	opts, code := runtimeOptions(fs)
-	if code != exitOK {
-		return code
-	}
-
-	fsyncs := 0
-	st, err := schedrt.OpenStore(*fs.dir, schedrt.StoreOptions{
-		Runtime:     opts,
-		AfterSync:   crashHook(fs, &fsyncs),
-		CommitBatch: *fs.commitBatch,
-		CommitDelay: *fs.commitDelay,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "impserve: opening store %s: %v\n", *fs.dir, err)
-		return exitInvalidInput
-	}
-	defer st.Close()
-	if rec := st.Recovery(); rec.FromCheckpoint != "" || rec.ReplayedEvents+rec.ReplayedEpochs > 0 {
-		fmt.Printf("restored:    %s at epoch %d (digest %016x, %d fallbacks, replayed %d events + %d epochs)\n",
-			*fs.dir, rec.Epoch, rec.Digest, rec.CheckpointFallbacks, rec.ReplayedEvents, rec.ReplayedEpochs)
-	}
-
-	horizon := tapeHorizon(fs, tp)
-	jsonl, code := openJSONL(fs)
-	if jsonl != nil {
-		defer jsonl.Close()
-	} else if code != exitOK {
-		return code
-	}
-
-	stop := make(chan os.Signal, 2)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(stop)
-
-	every := *fs.ckptEvery
-	interrupted := false
-	for st.Epoch() < horizon && !interrupted {
-		select {
-		case sig := <-stop:
-			fmt.Fprintf(os.Stderr, "impserve: %v: state is durable at epoch %d\n", sig, st.Epoch())
-			interrupted = true
-			continue
-		default:
-		}
-		err := st.PlayTape(tp, st.Epoch()+1,
-			epochLogger(fs, jsonl),
-			decisionLogger(fs, st.Epoch),
-			staleTolerant(fs, st.Epoch))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "impserve:", err)
-			return exitInternal
-		}
-		if every > 0 && st.Epoch()%int64(every) == 0 {
-			if _, err := st.Checkpoint(); err != nil {
-				fmt.Fprintln(os.Stderr, "impserve:", err)
-				return exitInternal
-			}
-		}
-	}
-
-	// A final checkpoint bounds the next open's replay; the journal alone
-	// would recover identically, just more slowly.
-	path, err := st.Checkpoint()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitInternal
-	}
-	fmt.Printf("checkpoint:  %s\n", path)
-	printSummary(st.Runtime(), horizon)
-	fmt.Printf("fsyncs:      %d\n", fsyncs)
-	if interrupted {
-		return exitInterrupted
-	}
-	return exitOK
-}
-
-// runServe is the supervised HTTP service: the listener binds first (so
-// probes see "alive, not ready" instead of connection refused), then each
-// supervisor incarnation recovers the store, attaches the control plane,
-// and serves until a fatal store error (restart, with backoff) or a
-// signal (graceful drain, exit 0).
-func runServe(fs flags) int {
-	if *fs.dir == "" {
-		fmt.Fprintln(os.Stderr, "impserve: -listen needs -dir (the service is durable or it is nothing)")
-		return exitInvalidInput
-	}
-	if *fs.tape != "" {
-		fmt.Fprintln(os.Stderr, "impserve: -listen and -tape are exclusive; the service admits over HTTP")
-		return exitInvalidInput
-	}
-	if *fs.shards > 1 {
-		return runServeCluster(fs)
-	}
-	opts, code := runtimeOptions(fs)
-	if code != exitOK {
-		return code
-	}
-
-	ln, err := net.Listen("tcp", *fs.listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitInvalidInput
-	}
-	fmt.Printf("listening:   %s\n", ln.Addr())
-
-	// The handler indirection outlives any single incarnation: between
-	// restarts (and before the first attach) everything but /healthz is 503.
-	var current atomic.Pointer[http.Handler]
-	httpSrv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if h := current.Load(); h != nil {
-				(*h).ServeHTTP(w, r)
-				return
-			}
-			if r.URL.Path == "/healthz" {
-				fmt.Fprintln(w, "ok")
-				return
-			}
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, `{"error": "restarting"}`, http.StatusServiceUnavailable)
-		}),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	go httpSrv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(ctx)
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fsyncs := 0
-	sup := &serve.Supervisor{
-		MaxRestarts: *fs.maxRestarts,
-		ResetAfter:  *fs.restartReset,
-		OnRestart: func(attempt int, err error, delay time.Duration) {
-			fmt.Fprintf(os.Stderr, "impserve: incarnation %d died (%v); restarting in %v\n", attempt, err, delay)
-		},
-	}
-	err = sup.Run(ctx, func(ctx context.Context) error {
-		st, err := schedrt.OpenStore(*fs.dir, schedrt.StoreOptions{
-			Runtime:     opts,
-			AfterSync:   crashHook(fs, &fsyncs),
-			CommitBatch: *fs.commitBatch,
-			CommitDelay: *fs.commitDelay,
-		})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		if rec := st.Recovery(); rec.FromCheckpoint != "" || rec.ReplayedEvents+rec.ReplayedEpochs > 0 {
-			fmt.Printf("restored:    %s at epoch %d (digest %016x, %d fallbacks, replayed %d events + %d epochs)\n",
-				*fs.dir, rec.Epoch, rec.Digest, rec.CheckpointFallbacks, rec.ReplayedEvents, rec.ReplayedEpochs)
-		}
-
-		srv := serve.New(serve.Options{
-			QueueDepth:      *fs.queue,
-			EpochInterval:   *fs.epochEvery,
-			CheckpointEvery: *fs.ckptEvery,
-			CoDelTarget:     *fs.codelTarget,
-			Logf:            func(f string, a ...any) { fmt.Fprintf(os.Stderr, "impserve: "+f+"\n", a...) },
-		})
-		h := srv.Handler()
-		current.Store(&h)
-		defer current.Store(nil)
-		srv.Attach(st)
-
-		select {
-		case err := <-srv.Fatal():
-			shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(shctx)
-			return err
-		case <-ctx.Done():
-			// Graceful drain: bar the door, apply everything accepted,
-			// leave the journal clean. Exit 0 — recovery needs nothing.
-			shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(shctx); err != nil {
-				return fmt.Errorf("drain: %w", err)
-			}
-			fmt.Printf("drained:     epoch %d\n", st.Epoch())
-			fmt.Printf("epochs:      %d\n", st.Epoch())
-			fmt.Printf("digest:      %016x\n", st.Digest())
-			return nil
-		}
-	})
-	switch {
-	case err == nil, errors.Is(err, context.Canceled):
-		return exitOK
-	case errors.Is(err, serve.ErrRestartBudget):
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitBudget
-	default:
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitInternal
-	}
 }
 
 // crashHook returns the AfterSync hook: count fsync boundaries and, with
@@ -484,19 +259,12 @@ func runSweep(fs flags) int {
 	if *fs.epochs > 0 {
 		common = append(common, "-epochs", fmt.Sprint(*fs.epochs))
 	}
-	// The sweep proves whatever width it is asked about: with -shards the
-	// children run the cluster tape mode, and the digest line under
-	// comparison is the folded whole-cluster digest. -replicas rides along,
-	// so the sweep can also prove crash recovery with followers attached.
-	if *fs.shards > 1 {
-		common = append(common, "-shards", fmt.Sprint(*fs.shards))
-		if *fs.placement != "" {
-			common = append(common, "-placement", *fs.placement)
-		}
-		if *fs.replicas > 0 {
-			common = append(common, "-replicas", fmt.Sprint(*fs.replicas))
-		}
-	}
+	// The sweep proves whatever width it is asked about: the digest line
+	// under comparison is the folded whole-cluster digest (one shard's own
+	// at the default width). -replicas rides along, so the sweep can also
+	// prove crash recovery with followers attached.
+	common = append(common, "-shards", fmt.Sprint(*fs.shards),
+		"-placement", *fs.placement, "-replicas", fmt.Sprint(*fs.replicas))
 	for _, eng := range engines {
 		args := append([]string{"-engine", eng}, common...)
 		baseDir := filepath.Join(root, eng+"-baseline")
@@ -646,7 +414,7 @@ func newFlagSet() flags {
 		strict:      fs.Bool("strict", false, "reject tapes with duplicate adds, unknown removes or non-monotonic epochs"),
 		ckptEvery:   fs.Int("checkpoint-every", 8, "durable modes: checkpoint every N epochs"),
 		listen:      fs.String("listen", "", "serve mode: HTTP control plane address (requires -dir)"),
-		queue:       fs.Int("queue", 16, "serve mode: admission queue depth (load-shed beyond it)"),
+		queue:       fs.Int("queue", 64, "serve mode: admission queue depth per shard, in events (load-shed beyond it)"),
 		epochEvery:  fs.Duration("epoch-interval", 50*time.Millisecond, "serve mode: run an epoch this often (0 disables)"),
 		maxRestarts: fs.Int("max-restarts", 5, "serve mode: supervisor restart budget"),
 		commitBatch: fs.Int("commit-batch", 0, "durable modes: max records per group commit (0: default 64)"),
@@ -657,17 +425,17 @@ func newFlagSet() flags {
 		sweepEngine: fs.String("sweep-engine", "", "sweep mode: restrict to one engine (default: both)"),
 
 		shards:         fs.Int("shards", 1, "durable modes: partition the state across this many shard stores"),
-		replicas:       fs.Int("replicas", 0, "cluster modes: synchronous followers per shard (0 disables replication)"),
-		placement:      fs.String("placement", "", "cluster placement policy: "+strings.Join(cluster.PolicyNames(), ", ")+" (default first-fit)"),
-		shardParallel:  fs.Bool("shard-parallel", false, "cluster tape mode: concurrent group-commit drive (durable resume needs the serial default)"),
-		rebalanceEvery: fs.Int("rebalance-every", 0, "cluster tape mode: run the skew-triggered rebalancer every N epochs (0 disables)"),
+		replicas:       fs.Int("replicas", 0, "synchronous followers per shard (0 disables replication)"),
+		placement:      fs.String("placement", "", "placement policy: "+strings.Join(cluster.PolicyNames(), ", ")+" (default first-fit)"),
+		shardParallel:  fs.Bool("shard-parallel", false, "durable tape mode: concurrent group-commit drive (durable resume needs the serial default)"),
+		rebalanceEvery: fs.Int("rebalance-every", 0, "durable tape mode: run the skew-triggered rebalancer every N epochs (0 disables)"),
 		restartReset:   fs.Duration("restart-reset", 0, "serve mode: forgive the restart budget after an incarnation stays up this long (0 disables)"),
 		fsck:           fs.Bool("fsck", false, "scrub every checkpoint and WAL segment under -dir offline and exit (6 on corruption)"),
 
-		latencySLO:  fs.Duration("latency-slo", 0, "cluster modes: fence a shard from placement when its windowed WAL-sojourn p99 exceeds this; with replicas, proactively promote away from the slow primary (0 disables)"),
-		deadline:    fs.Duration("deadline", 0, "cluster modes: default admission deadline — shed routes to over-SLO shards instead of blowing it (0 disables; per-request X-Deadline-Ms still honored)"),
-		codelTarget: fs.Duration("codel-target", 0, "serve modes: CoDel sojourn target for adaptive admission-queue shedding (0 disables; deadline sheds and drain-rate Retry-After hints stay on)"),
-		watchdog:    fs.Duration("watchdog", 0, "cluster serve mode: flag a shard Slow when its engine sits inside one store op longer than this (0 disables)"),
+		latencySLO:  fs.Duration("latency-slo", 0, "fence a shard from placement when its windowed WAL-sojourn p99 exceeds this; with replicas, proactively promote away from the slow primary (0 disables)"),
+		deadline:    fs.Duration("deadline", 0, "default admission deadline — shed routes to over-SLO shards instead of blowing it (0 disables; per-request X-Deadline-Ms still honored)"),
+		codelTarget: fs.Duration("codel-target", 0, "serve mode: CoDel sojourn target for adaptive admission-queue shedding (0 disables; deadline sheds and drain-rate Retry-After hints stay on)"),
+		watchdog:    fs.Duration("watchdog", 0, "serve mode: flag a shard Slow when its engine sits inside one store op longer than this (0 disables)"),
 	}
 }
 
@@ -778,16 +546,15 @@ func staleTolerant(fs flags, epoch func() int64) func(schedrt.Event, error) erro
 	}
 }
 
-func printSummary(r *schedrt.Runtime, horizon int64) {
-	m := r.Metrics()
-	fmt.Printf("epochs:      %d (of horizon %d)\n", r.Epoch(), horizon)
+func printSummary(m schedrt.Metrics, epoch, horizon int64, digest uint64) {
+	fmt.Printf("epochs:      %d (of horizon %d)\n", epoch, horizon)
 	fmt.Printf("jobs:        %d, misses %d (%d in degraded windows)\n",
 		m.Jobs, m.Misses, m.MissesDegraded)
 	fmt.Printf("admission:   %d admitted (%d degraded), %d rejected, %d removed\n",
 		m.Admits, m.AdmitsDegraded, m.Rejects, m.Removes)
 	fmt.Printf("governor:    %d sheds, %d restores, %d overload windows\n",
 		m.Sheds, m.Restores, m.Overloads)
-	fmt.Printf("digest:      %016x\n", r.Digest())
+	fmt.Printf("digest:      %016x\n", digest)
 }
 
 // generate writes a churn tape to -tape (or stdout) and exits.

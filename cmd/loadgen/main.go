@@ -271,9 +271,9 @@ type report struct {
 	ServerState []json.RawMessage `json:"server_state,omitempty"`
 
 	// ShardHealth summarizes per-shard containment state scraped from each
-	// cluster target's /state: shed requests during the run read next to
-	// which shard was degraded or failed and why. Absent for single-node
-	// targets (their /state has no per-shard rows).
+	// target's /state: shed requests during the run read next to which
+	// shard was degraded or failed and why. Absent when no target answered
+	// /state.
 	ShardHealth []shardHealthRow `json:"shard_health,omitempty"`
 }
 
@@ -290,7 +290,7 @@ type shardHealthRow struct {
 }
 
 // scrapeShardHealth pulls the per-shard health rows out of a raw /state
-// body. Best-effort: a single-node /state (no per_shard) yields nothing.
+// body. Best-effort: a body without per_shard rows yields nothing.
 func scrapeShardHealth(url string, body []byte) []shardHealthRow {
 	var st struct {
 		PerShard []struct {
@@ -356,8 +356,8 @@ type worker struct {
 	per []tstat // indexed by target
 }
 
-// decisionBody is the minimal shape of both admit responses (single-node
-// and cluster, single and batch): enough to count verdicts.
+// decisionBody is the minimal shape of both admit responses (single and
+// batch): enough to count verdicts.
 type decisionBody struct {
 	Decision  *wireDecision  `json:"decision"`
 	Error     string         `json:"error"`

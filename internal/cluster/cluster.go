@@ -26,11 +26,14 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -145,6 +148,9 @@ type Recovery struct {
 	MigrationsAborted   int `json:"migrations_aborted,omitempty"`
 	// ResetsReplayed counts evacuation re-images recovery re-executed.
 	ResetsReplayed int `json:"resets_replayed,omitempty"`
+	// AdoptedStore reports that this Open turned a single-store directory
+	// into shard 0 (adoptSingleStore).
+	AdoptedStore bool `json:"adopted_store,omitempty"`
 }
 
 // Result is the router's answer to one event: the shard that served it
@@ -167,10 +173,10 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	meta    *journal.Writer
-	seq     uint64         // last stamped event sequence number
-	rr      uint64         // successful placements (round-robin cursor)
-	owner   map[string]int // partition map: task name → shard
-	pending map[string]int // routed-but-unresolved adds (concurrent path)
+	seq     uint64                // last stamped event sequence number
+	rr      uint64                // successful placements (round-robin cursor)
+	owner   map[string]int        // partition map: task name → shard
+	pending map[string]pendingAdd // routed-but-unresolved adds (concurrent path)
 	// ownerSeq is the sequence number of the event that last resolved each
 	// name's owner entry. Completes from different shards interleave in
 	// arbitrary order, so every owner mutation is last-writer-wins by
@@ -228,7 +234,9 @@ type metaSnap struct {
 
 const metaSnapName = "meta.snap"
 
-// shardSeedSalt decorrelates per-shard runtime seeds (splitmix increment).
+// shardSeedSalt decorrelates per-shard runtime seeds (splitmix increment):
+// shard i runs seed root + i·salt, so shard 0 runs the root seed — exactly
+// the runtime a single store opened with the same options runs.
 const shardSeedSalt = 0x9e3779b97f4a7c15
 
 func shardDir(dir string, i int) string {
@@ -261,6 +269,10 @@ func Open(dir string, opt Options) (*Cluster, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	adopted, err := adoptSingleStore(dir, opt.Store)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: adopting the single store in %s: %w", dir, err)
+	}
 	// Refuse to strand shards: reopening with fewer shards than exist on
 	// disk would orphan their tasks outside the router.
 	for i := opt.Shards; ; i++ {
@@ -286,13 +298,14 @@ func Open(dir string, opt Options) (*Cluster, error) {
 		opt:      opt,
 		policy:   policy,
 		owner:    make(map[string]int),
-		pending:  make(map[string]int),
+		pending:  make(map[string]pendingAdd),
 		ownerSeq: make(map[string]uint64),
 		retry:    opt.Retry.withDefaults(),
 		health:   make([]ShardHealth, opt.Shards),
 		primary:  make([]int, opt.Shards),
 		replicas: make([][]*replica, opt.Shards),
 	}
+	c.rec.AdoptedStore = adopted
 	// Latency trackers exist BEFORE the shard stores open: the stores'
 	// Observe hooks (wired in slotStoreOptions) capture recovery I/O too.
 	if opt.LatencySLO > 0 {
@@ -490,6 +503,88 @@ func Open(dir string, opt Options) (*Cluster, error) {
 	return c, nil
 }
 
+// adoptSingleStore turns the layout runtime.OpenStore writes (wal/ and
+// ckpt-* at the top of dir), found with no shard-000 beside it, into shard
+// 0. The entries move into a staging directory one rename at a time; the
+// store is opened there once to number its unsequenced requests
+// (Store.SequenceRequests), so a tape resumes after them; one final rename
+// publishes the staging directory as shard-000. A crash before that rename
+// leaves the staging directory, and perhaps some entries still at the
+// top, for the next Open to finish; after it the adoption is done. Open's
+// reconciliation then adopts the store's live tasks into the partition
+// map. The store keeps its seed: shard 0 runs the root seed.
+func adoptSingleStore(dir string, so runtime.StoreOptions) (bool, error) {
+	if _, err := os.Stat(shardDir(dir, 0)); err == nil {
+		return false, nil
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return false, err
+	}
+	var moves []string
+	for _, e := range ents {
+		if e.Name() == "wal" || strings.HasPrefix(e.Name(), "ckpt-") {
+			moves = append(moves, e.Name())
+		}
+	}
+	staging := shardDir(dir, 0) + ".adopt"
+	if _, err := os.Stat(staging); len(moves) == 0 && err != nil {
+		return false, nil // a fresh or already-cluster directory
+	}
+	if err := os.MkdirAll(staging, 0o755); err != nil {
+		return false, err
+	}
+	for _, name := range moves {
+		if err := os.Rename(filepath.Join(dir, name), filepath.Join(staging, name)); err != nil {
+			return false, err
+		}
+	}
+	if err := syncDir(staging, so); err != nil {
+		return false, err
+	}
+	if err := syncDir(dir, so); err != nil {
+		return false, err
+	}
+	st, err := runtime.OpenStore(staging, so)
+	if err != nil {
+		return false, err
+	}
+	err = st.SequenceRequests()
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return false, err
+	}
+	if err := os.Rename(staging, shardDir(dir, 0)); err != nil {
+		return false, err
+	}
+	return true, syncDir(dir, so)
+}
+
+// syncDir fsyncs a directory's entries and fires the crash hook, unless
+// the store options elide syncs.
+func syncDir(dir string, so runtime.StoreOptions) error {
+	if so.NoSync {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	if err := d.Close(); err != nil {
+		return err
+	}
+	if so.AfterSync != nil {
+		so.AfterSync()
+	}
+	return nil
+}
+
 // readMetaSnap loads the meta snapshot, returning a zero snapshot when the
 // file does not exist. The write is atomic (temp + rename), so a torn
 // write leaves the previous generation readable.
@@ -590,6 +685,28 @@ func (c *Cluster) Digests() []uint64 {
 	return out
 }
 
+// Digest folds the shard digests into one run identity (foldDigests).
+func (c *Cluster) Digest() uint64 { return foldDigests(c.Digests()) }
+
+// foldDigests starts from shard 0's digest and FNV-1a-folds every further
+// shard's into it, so a one-shard cluster's identity is its store's digest
+// — the same number a single runtime prints for the same run.
+func foldDigests(ds []uint64) uint64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	d := ds[0]
+	var buf [16]byte
+	for _, x := range ds[1:] {
+		binary.BigEndian.PutUint64(buf[:8], d)
+		binary.BigEndian.PutUint64(buf[8:], x)
+		h := fnv.New64a()
+		h.Write(buf[:])
+		d = h.Sum64()
+	}
+	return d
+}
+
 // Metrics sums the shard runtimes' lifetime counters.
 func (c *Cluster) Metrics() runtime.Metrics {
 	var m runtime.Metrics
@@ -624,11 +741,18 @@ type ticket struct {
 	sick     int   // the fenced shard when err is ErrShardFailed (-1: none specific)
 }
 
+// pendingAdd counts the routed-but-unresolved adds of one name and the
+// shard they all went to.
+type pendingAdd struct{ shard, n int }
+
 // route picks the event's shard and stamps its sequence number, under the
 // router lock. Synthesized results (duplicate add, unknown remove, unnamed
 // add) return a ticket with shard < 0 and never touch a shard or consume a
 // live-mode sequence number — re-processing them is free, which is what
-// makes tape resume idempotent. For adds the target's mirror is updated
+// makes tape resume idempotent. An add whose name is only pending is not
+// synthesized: its fate hangs on the earlier add's verdict, so it follows
+// that add to the same shard (FIFO) and the shard answers it, exactly as a
+// single store would. For adds the target's mirror is updated
 // optimistically when the probe predicts admission; complete reconciles
 // the prediction against the shard's actual verdict.
 //
@@ -648,8 +772,14 @@ func (c *Cluster) route(ev *runtime.Event, gate func(si int) bool) (tk ticket, s
 		if _, dup := c.owner[name]; dup {
 			return ticket{shard: -1, op: "add", name: name, err: runtime.ErrDuplicateTask}, false
 		}
-		if _, dup := c.pending[name]; dup {
-			return ticket{shard: -1, op: "add", name: name, err: runtime.ErrDuplicateTask}, false
+		if p, ok := c.pending[name]; ok {
+			if gate != nil && !gate(p.shard) {
+				return ticket{}, true
+			}
+			c.stamp(ev)
+			p.n++
+			c.pending[name] = p
+			return ticket{shard: p.shard, op: "add", name: name}, false
 		}
 		// Failed shards are fenced from placement: the policy sees only the
 		// alive subset (indices mapped back through Shard.ID). Slow shards
@@ -681,7 +811,7 @@ func (c *Cluster) route(ev *runtime.Event, gate func(si int) bool) (tk ticket, s
 		}
 		c.stamp(ev)
 		_, deepOK := c.shards[si].Probe(&ev.Task.Task)
-		c.pending[name] = si
+		c.pending[name] = pendingAdd{shard: si, n: 1}
 		if deepOK {
 			// The probe is verdict-identical to the shard's own screen, so
 			// mirror and placement cursor advance now — later routes in the
@@ -696,7 +826,9 @@ func (c *Cluster) route(ev *runtime.Event, gate func(si int) bool) (tk ticket, s
 		name := ev.Name
 		si, ok := c.owner[name]
 		if !ok {
-			si, ok = c.pending[name] // remove races a routed add: same shard, FIFO
+			var p pendingAdd
+			p, ok = c.pending[name] // remove races a routed add: same shard, FIFO
+			si = p.shard
 		}
 		if !ok {
 			return ticket{shard: -1, op: "remove", name: name, err: runtime.ErrUnknownTask}, false
@@ -783,7 +915,12 @@ func (c *Cluster) complete(tk ticket, ev *runtime.Event, dec runtime.Decision, a
 	switch tk.op {
 	case "add":
 		admitted := applyErr == nil && dec.Verdict != runtime.Rejected
-		delete(c.pending, tk.name)
+		if p := c.pending[tk.name]; p.n > 1 {
+			p.n--
+			c.pending[tk.name] = p
+		} else {
+			delete(c.pending, tk.name)
+		}
 		if admitted {
 			// Mirror by membership, cursor by prediction: a retry-reopen may
 			// have rebuilt the mirror from recovered state (which already
@@ -1267,24 +1404,7 @@ func writeFileAtomic(path string, data []byte, noSync bool, afterSync func()) er
 		os.Remove(tmp.Name())
 		return err
 	}
-	if noSync {
-		return nil
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	if err := d.Close(); err != nil {
-		return err
-	}
-	if afterSync != nil {
-		afterSync()
-	}
-	return nil
+	return syncDir(dir, runtime.StoreOptions{NoSync: noSync, AfterSync: afterSync})
 }
 
 // ErrWrongTape mirrors the store's wrong-tape guard at cluster scope.

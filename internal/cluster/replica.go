@@ -345,7 +345,7 @@ func (c *Cluster) promoteShardLocked(si int) bool {
 // updated).
 func (c *Cluster) slotStoreOptions(si, slot int) runtime.StoreOptions {
 	so := c.opt.Store
-	so.Runtime.Seed = c.opt.Store.Runtime.Seed + uint64(si+1)*shardSeedSalt
+	so.Runtime.Seed = c.opt.Store.Runtime.Seed + uint64(si)*shardSeedSalt
 	if inj := c.slotInjector(si, slot); inj != nil {
 		so.Inject = inj
 	}

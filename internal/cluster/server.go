@@ -12,23 +12,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nprt/internal/journal"
 	"nprt/internal/runtime"
 	"nprt/internal/serve"
 	"nprt/internal/task"
 )
 
-// Server is the HTTP control plane over a sharded cluster. It is the
-// multi-lane version of serve.Server: one engine goroutine *per shard*,
-// each owning that shard's store, fed through its own bounded queue. The
-// handler routes every event to its shard at the door (placement policy
-// for adds, partition map for removes), so N independent engines journal,
-// group-commit and fsync concurrently — the parallelism the sharding
-// exists to buy — while the router's mutex only covers the microseconds of
-// placement itself.
+// Server is the HTTP control plane over a cluster — at any width, a single
+// node included (a one-shard cluster). Each shard's store is owned by one
+// engine goroutine, fed through its own bounded queue; the handlers only
+// touch published snapshots and the queues. The handler routes every event
+// to its shard at the door (placement policy for adds, partition map for
+// removes), so N independent engines journal, group-commit and fsync
+// concurrently — the parallelism the sharding exists to buy — while the
+// router's mutex only covers the microseconds of placement itself.
 //
-// Queueing contract per shard, identical to the single-node server: a full
-// queue sheds with 503 + Retry-After at the door, and everything accepted
-// is applied before the engine exits (drain-on-shutdown).
+// Queueing contract per shard: a full queue sheds with 503 + Retry-After
+// at the door, and everything accepted is applied before the engine exits
+// (drain-on-shutdown), so there is no accepted-then-dropped window.
 type Server struct {
 	opt ServeOptions
 	c   *Cluster
@@ -54,7 +55,7 @@ type Server struct {
 
 	admitted     atomic.Uint64
 	rejected     atomic.Uint64
-	shed         atomic.Uint64
+	shedCount    atomic.Uint64
 	deadlineShed atomic.Uint64
 	codelShed    atomic.Uint64
 	lastErr      atomic.Pointer[string]
@@ -79,7 +80,10 @@ type ServeOptions struct {
 	// MaxBatchEvents caps /admit/batch (default 256).
 	MaxBatchEvents int
 	// CoDelTarget/CoDelInterval arm per-shard CoDel-style adaptive queue
-	// control (see serve.Options; zero target disables).
+	// control (see serve.QueueCtl): once a shard queue's sojourn stands
+	// above the target for the interval (default 100ms), new arrivals for
+	// it are shed with sqrt-spaced pacing. A zero target disables it;
+	// deadline sheds and drain-rate hints need only the rate estimate.
 	CoDelTarget   time.Duration
 	CoDelInterval time.Duration
 	// StuckOpAfter, when positive, arms the per-shard watchdog: an engine
@@ -158,7 +162,16 @@ type ShardRow struct {
 	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
 	DrainPerSec float64 `json:"drain_per_sec,omitempty"`
 
-	Commit *serve.CommitState `json:"commit,omitempty"`
+	Commit *CommitState `json:"commit,omitempty"`
+
+	digest uint64 // Digest as a number, for the cluster fold
+}
+
+// CommitState is the group-commit amortization view on /state: the shard
+// journal's counters plus the derived records-per-sync ratio.
+type CommitState struct {
+	journal.GroupStats
+	RecordsPerSync float64 `json:"records_per_sync"`
 }
 
 // ClusterState is the /state document: aggregated router counters plus one
@@ -173,6 +186,12 @@ type ClusterState struct {
 	Pending   int    `json:"pending"`
 	RR        uint64 `json:"rr"`
 	Seq       uint64 `json:"seq"`
+
+	// Digest is the cluster's run identity (foldDigests over the shard
+	// rows: a one-shard cluster shows its store's digest); EventsApplied
+	// sums the requests the shards have journaled.
+	Digest        string `json:"digest"`
+	EventsApplied uint64 `json:"events_applied"`
 
 	// FailedShards counts shards currently fenced in the Failed state;
 	// their partitions shed (503) until evacuation while the rest serve.
@@ -367,8 +386,10 @@ func (s *Server) engine(si int) {
 }
 
 // gather collects one commit group: the waking ticket, everything queued,
-// and a brief yield-spin for stragglers once it has company (the same
-// batching heuristic as the single-node engine).
+// and — only when it has company — a brief yield-spin for the stragglers
+// racing this drain (clients resubmitting right after the previous batch's
+// replies). A lone ticket commits at once: the serial path keeps serial
+// latency.
 func (s *Server) gather(batch []sticket, t sticket, q chan sticket) []sticket {
 	batch = append(batch, t)
 	drain := func() {
@@ -443,7 +464,7 @@ func (s *Server) serveBatch(si int, batch []sticket) bool {
 		s.c.mu.Unlock()
 		s.publishShard(si)
 		for i := range batch {
-			s.shed.Add(1)
+			s.shedCount.Add(1)
 			batch[i].reply <- sreply{pos: batch[i].pos, shard: si, err: err}
 		}
 		return true
@@ -497,7 +518,8 @@ func (s *Server) publishShard(si int) {
 		MaxSeq:        sh.Store.MaxSeq(),
 		QueueDepth:    len(s.queues[si]),
 		QueueCap:      cap(s.queues[si]),
-		Commit:        &serve.CommitState{GroupStats: cs, RecordsPerSync: cs.RecordsPerSync()},
+		Commit:        &CommitState{GroupStats: cs, RecordsPerSync: cs.RecordsPerSync()},
+		digest:        sh.Store.Digest(),
 	}
 	if s.ctls != nil {
 		row.QueueWaitMs = float64(s.ctls[si].LastSojourn()) / float64(time.Millisecond)
@@ -540,7 +562,7 @@ func (s *Server) Snapshot() ClusterState {
 	s.mu.Unlock()
 	st.Admitted = s.admitted.Load()
 	st.Rejected = s.rejected.Load()
-	st.LoadShed = s.shed.Load()
+	st.LoadShed = s.shedCount.Load()
 	st.DeadlineShed = s.deadlineShed.Load()
 	st.CoDelShed = s.codelShed.Load()
 	if msg := s.lastErr.Load(); msg != nil {
@@ -560,18 +582,23 @@ func (s *Server) Snapshot() ClusterState {
 	st.SlowShards = s.c.slow
 	s.c.mu.Unlock()
 	first := true
+	var digests []uint64
 	for i := range s.rows {
-		row := s.rows[i].Load()
-		if row == nil {
+		p := s.rows[i].Load()
+		if p == nil {
 			continue
 		}
-		row.QueueDepth = len(s.queues[i]) // refresh the only live field
-		st.PerShard = append(st.PerShard, *row)
+		row := *p                         // the published row is shared: copy before
+		row.QueueDepth = len(s.queues[i]) // refreshing the only live field
+		st.PerShard = append(st.PerShard, row)
+		digests = append(digests, row.digest)
+		st.EventsApplied += row.EventsApplied
 		if first || row.Epoch < st.Epoch {
 			st.Epoch = row.Epoch
 			first = false
 		}
 	}
+	st.Digest = fmt.Sprintf("%016x", foldDigests(digests))
 	return st
 }
 
@@ -583,21 +610,33 @@ var errAdmitDeadline = errors.New("cluster: predicted queue wait exceeds request
 // standing over the CoDel target, and this arrival drew the paced drop.
 var errAdmitCoDel = errors.New("cluster: admission queue standing over target")
 
+// errQueueFull is the plain backpressure shed: the target queue is full,
+// or the server is draining.
+var errQueueFull = errors.New("admission queue full or draining")
+
+// routed is routeIn's answer for one event. Either it was accepted and
+// expect replies will arrive on the reply channel, or the router answered
+// it itself (synth), or it was shed (shedErr != nil): sick names the
+// fenced shard when the shed is partition-scoped (-1 otherwise), and retry
+// is the target queue's predicted drain time (0 when unknown).
+type routed struct {
+	expect  int
+	synth   *sreply
+	shedErr error
+	sick    int
+	retry   time.Duration
+}
+
 // routeIn routes one decoded event under the router locks and fans it out
-// to the shard queues. Returns the reply channel and how many replies to
-// expect; synthesized results come back immediately in synth. shed=true
-// means the event was not accepted: sick names the fenced shard when the
-// shed is partition-scoped (-1 otherwise), and shedErr distinguishes the
-// cause (ErrShardFailed / ErrShardSlow / errAdmitDeadline / errAdmitCoDel;
-// nil for queue-full-or-draining), so the handler can derive the right
-// Retry-After. deadline is the client's propagated budget (0 = none): the
-// enqueue gate sheds when the target shard's predicted queue wait
-// (measured drain rate × depth) already exceeds it.
-func (s *Server) routeIn(ev runtime.Event, pos int, reply chan sreply, deadline time.Duration) (expect int, synth *sreply, sick int, shedErr error, shed bool) {
+// to the shard queues. deadline is the client's propagated budget (0 =
+// none): the enqueue gate sheds when the target shard's predicted queue
+// wait (measured drain rate × depth) already exceeds it, and the CoDel
+// controller may shed while the target queue stands over its target.
+func (s *Server) routeIn(ev runtime.Event, pos int, reply chan sreply, deadline time.Duration) routed {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return 0, nil, -1, nil, true
+		return routed{shedErr: errQueueFull, sick: -1}
 	}
 	now := time.Now()
 	s.c.mu.Lock()
@@ -612,58 +651,86 @@ func (s *Server) routeIn(ev runtime.Event, pos int, reply chan sreply, deadline 
 				continue
 			}
 			if len(q) == cap(q) {
-				return 0, nil, -1, nil, true
+				return routed{shedErr: errQueueFull, sick: -1, retry: s.ctls[si].PredictWait(len(q))}
 			}
 			targets = append(targets, si)
 		}
 		if len(targets) == 0 {
-			return 0, nil, -1, nil, true
+			return routed{shedErr: errQueueFull, sick: -1}
 		}
 		s.c.stamp(&ev)
 		for _, si := range targets {
 			s.queues[si] <- sticket{ev: ev, tk: ticket{shard: si, op: "overload"}, pos: pos, reply: reply, enq: now}
 		}
 		s.admitted.Add(1)
-		return len(targets), nil, -1, nil, false
+		return routed{expect: len(targets)}
 	}
 	var gateErr error
+	var retry time.Duration
 	gate := func(si int) bool {
-		if len(s.queues[si]) >= cap(s.queues[si]) {
+		depth := len(s.queues[si])
+		if depth >= cap(s.queues[si]) {
+			gateErr, retry = errQueueFull, s.ctls[si].PredictWait(depth)
 			return false
 		}
-		reason, _ := s.ctls[si].Admit(now, len(s.queues[si]), deadline)
+		reason, hint := s.ctls[si].Admit(now, depth, deadline)
 		switch reason {
 		case "deadline":
-			gateErr = errAdmitDeadline
+			gateErr, retry = errAdmitDeadline, hint
 			return false
 		case "codel":
-			gateErr = errAdmitCoDel
+			gateErr, retry = errAdmitCoDel, hint
 			return false
 		}
 		return true
 	}
 	tk, routeShed := s.c.route(&ev, gate)
 	if routeShed {
-		return 0, nil, -1, gateErr, true
+		return routed{shedErr: gateErr, sick: -1, retry: retry}
 	}
 	if tk.shard < 0 {
 		if errors.Is(tk.err, ErrShardFailed) || errors.Is(tk.err, ErrShardSlow) {
 			// Partition-scoped load shedding: only events routed to a sick
 			// (dead or over-SLO) shard are shed; the rest keep serving.
-			return 0, nil, tk.sick, tk.err, true
+			return routed{shedErr: tk.err, sick: tk.sick}
 		}
 		res := synthResult(&ev, tk)
-		return 0, &sreply{pos: pos, shard: -1, dec: res.Decision, err: tk.err}, -1, nil, false
+		return routed{synth: &sreply{pos: pos, shard: -1, dec: res.Decision, err: tk.err}}
 	}
 	// Space was gated above and only lock-holders enqueue, so this send
 	// cannot block.
 	s.queues[tk.shard] <- sticket{ev: ev, tk: tk, pos: pos, reply: reply, enq: now}
-	return 1, nil, -1, nil, false
+	return routed{expect: 1}
 }
 
-// Handler returns the control-plane mux — the same surface as the
-// single-node server (healthz/readyz/state/admit/admit/batch), with
-// /state extended to per-shard rows.
+// shed accounts one shed event by cause and returns the Retry-After hint
+// for it: a fenced shard's containment backoff, else the target queue's
+// predicted drain (0 leaves the static RetryAfter option to apply).
+func (s *Server) shed(r routed) time.Duration {
+	s.shedCount.Add(1)
+	switch {
+	case r.sick >= 0:
+		return s.c.RetryAfterHint(r.sick)
+	case errors.Is(r.shedErr, errAdmitDeadline):
+		s.deadlineShed.Add(1)
+	case errors.Is(r.shedErr, errAdmitCoDel):
+		s.codelShed.Add(1)
+	}
+	return r.retry
+}
+
+// Handler returns the control-plane mux:
+//
+//	GET  /healthz  200 while the process is alive (liveness)
+//	GET  /readyz   200 between Attach (recovery done) and Shutdown while
+//	               any shard can serve
+//	GET  /state    the ClusterState snapshot, JSON
+//	POST /admit    an Event {"op": "add"|"remove"|"overload", ...};
+//	               200 decision JSON · 400 malformed · 409 stale ·
+//	               503 + Retry-After when shedding, saturated or not ready
+//	POST /admit/batch  a JSON array of Events (≤ MaxBatchEvents); 200 with
+//	               {"decisions": [...]} — one entry per event, in order,
+//	               each carrying its decision or its own error
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -672,7 +739,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.ready.Load() {
-			s.unavailable(w, "not ready")
+			s.unavailable(w, "not ready", 0)
 			return
 		}
 		// Per-shard health: ready (200) while ANY shard can serve — failed
@@ -685,7 +752,7 @@ func (s *Server) Handler() http.Handler {
 			}
 		}
 		if alive == 0 {
-			s.unavailable(w, "no healthy shards")
+			s.unavailable(w, "no healthy shards", 0)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -719,15 +786,35 @@ type decisionEntry struct {
 	Error    string           `json:"error,omitempty"`
 }
 
+// deadlineMs parses the X-Deadline-Ms request header (0 when absent or
+// malformed — a bad hint must not reject the request itself).
+func deadlineMs(r *http.Request) time.Duration {
+	ms, err := strconv.Atoi(r.Header.Get("X-Deadline-Ms"))
+	if err != nil || ms <= 0 {
+		return 0
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
+// replyWait bounds a handler's wait for the engines: the request timeout,
+// tightened to the client's own deadline when one was propagated.
+func (s *Server) replyWait(deadline time.Duration) time.Duration {
+	if deadline > 0 && deadline < s.opt.RequestTimeout {
+		return deadline
+	}
+	return s.opt.RequestTimeout
+}
+
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		s.shed.Add(1)
-		s.unavailable(w, "not ready")
+		s.shedCount.Add(1)
+		s.unavailable(w, "not ready", 0)
 		return
 	}
 	// Pooled zero-allocation decode; the event's Task/Overload payloads
 	// alias the decoder scratch, so it is recycled only after the engine's
-	// reply — and leaked to the GC on timeout, as in the single-node path.
+	// reply — and deliberately leaked to the GC on timeout, when an engine
+	// may still read it.
 	d := serve.GetDecoder()
 	evs, err := d.Decode(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -743,43 +830,25 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := serve.DeadlineMs(r)
+	deadline := deadlineMs(r)
 	reply := make(chan sreply, len(s.queues))
-	expect, synth, sick, shedErr, shedded := s.routeIn(ev, 0, reply, deadline)
-	if shedded {
+	rt := s.routeIn(ev, 0, reply, deadline)
+	if rt.shedErr != nil {
 		serve.PutDecoder(d)
-		s.shed.Add(1)
-		switch {
-		case sick >= 0:
-			s.unavailableShard(w, sick, shedErr.Error())
-		case errors.Is(shedErr, errAdmitDeadline):
-			s.deadlineShed.Add(1)
-			s.unavailable(w, shedErr.Error())
-		case errors.Is(shedErr, errAdmitCoDel):
-			s.codelShed.Add(1)
-			s.unavailable(w, shedErr.Error())
-		case shedErr != nil:
-			s.unavailable(w, shedErr.Error())
-		default:
-			s.unavailable(w, "admission queue full or draining")
-		}
+		s.unavailable(w, rt.shedErr.Error(), s.shed(rt))
 		return
 	}
-	if synth != nil {
+	if rt.synth != nil {
 		serve.PutDecoder(d)
 		s.rejected.Add(1)
-		writeEntry(w, http.StatusConflict, decisionEntry{Shard: -1, Decision: synth.dec, Error: synth.err.Error()})
+		writeEntry(w, http.StatusConflict, decisionEntry{Shard: -1, Decision: rt.synth.dec, Error: rt.synth.err.Error()})
 		return
 	}
 
-	wait := s.opt.RequestTimeout
-	if deadline > 0 && deadline < wait {
-		wait = deadline
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	ctx, cancel := context.WithTimeout(r.Context(), s.replyWait(deadline))
 	defer cancel()
 	var got sreply
-	for i := 0; i < expect; i++ {
+	for i := 0; i < rt.expect; i++ {
 		select {
 		case rep := <-reply:
 			if rep.fatal {
@@ -791,8 +860,12 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 				got = rep
 			}
 		case <-ctx.Done():
-			s.shed.Add(1)
-			s.unavailable(w, "engine saturated; accepted admission still pending")
+			// The engine is saturated: the request was accepted and WILL be
+			// applied (durably), but this client's wait is over. Shed it
+			// with the same 503 + Retry-After contract as the front door,
+			// so clients see one overload signal, not two.
+			s.shedCount.Add(1)
+			s.unavailable(w, "engine saturated; accepted admission still pending", 0)
 			return
 		}
 	}
@@ -801,7 +874,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		// The owning shard exhausted its containment budget (or fell over
 		// the latency SLO) mid-request: retryable partition-scoped
 		// failure, not a server error.
-		s.unavailableShard(w, got.shard, got.err.Error())
+		s.unavailable(w, got.err.Error(), s.c.RetryAfterHint(got.shard))
 		return
 	}
 	if got.err != nil && !runtime.IsStaleRequest(got.err) {
@@ -822,8 +895,8 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		s.shed.Add(1)
-		s.unavailable(w, "not ready")
+		s.shedCount.Add(1)
+		s.unavailable(w, "not ready", 0)
 		return
 	}
 	var evs []runtime.Event
@@ -847,8 +920,8 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := serve.DeadlineMs(r)
-	reply := make(chan sreply, len(evs)*maxInt2(1, len(s.queues)))
+	deadline := deadlineMs(r)
+	reply := make(chan sreply, len(evs)*len(s.queues))
 	expect := 0
 	for i := range evs {
 		evs[i].Epoch = 0
@@ -856,40 +929,26 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 			out.Decisions[i] = decisionEntry{Shard: -1, Decision: runtime.Decision{Op: evs[i].Op}, Error: err.Error()}
 			continue
 		}
-		n, synth, sick, shedErr, shedded := s.routeIn(evs[i], i, reply, deadline)
+		rt := s.routeIn(evs[i], i, reply, deadline)
 		switch {
-		case shedded:
-			s.shed.Add(1)
-			msg := "load shed: queue full or draining"
-			switch {
-			case sick >= 0:
-				// Partition-scoped: tell the client how long the fenced
-				// shard's own containment machinery will wait.
-				msg = fmt.Sprintf("load shed: %v; retry after %dms",
-					shedErr, s.c.RetryAfterHint(sick).Milliseconds())
-			case errors.Is(shedErr, errAdmitDeadline):
-				s.deadlineShed.Add(1)
-				msg = "load shed: " + shedErr.Error()
-			case errors.Is(shedErr, errAdmitCoDel):
-				s.codelShed.Add(1)
-				msg = "load shed: " + shedErr.Error()
-			case shedErr != nil:
-				msg = "load shed: " + shedErr.Error()
+		case rt.shedErr != nil:
+			// A batch sheds per event: the entry names the cause and the
+			// backoff the whole-request 503 would have carried.
+			hint := s.shed(rt)
+			msg := "load shed: " + rt.shedErr.Error()
+			if hint > 0 {
+				msg += fmt.Sprintf("; retry after %dms", hint.Milliseconds())
 			}
 			out.Decisions[i] = decisionEntry{Shard: -1, Decision: runtime.Decision{Op: evs[i].Op}, Error: msg}
-		case synth != nil:
+		case rt.synth != nil:
 			s.rejected.Add(1)
-			out.Decisions[i] = decisionEntry{Shard: -1, Decision: synth.dec, Error: synth.err.Error()}
+			out.Decisions[i] = decisionEntry{Shard: -1, Decision: rt.synth.dec, Error: rt.synth.err.Error()}
 		default:
-			expect += n
+			expect += rt.expect
 		}
 	}
 
-	wait := s.opt.RequestTimeout
-	if deadline > 0 && deadline < wait {
-		wait = deadline
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	ctx, cancel := context.WithTimeout(r.Context(), s.replyWait(deadline))
 	defer cancel()
 	seen := make(map[int]bool)
 	for got := 0; got < expect; got++ {
@@ -912,8 +971,8 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			out.Decisions[rep.pos] = e
 		case <-ctx.Done():
-			s.shed.Add(1)
-			s.unavailable(w, "engine saturated; accepted batch still pending")
+			s.shedCount.Add(1)
+			s.unavailable(w, "engine saturated; accepted batch still pending", 0)
 			return
 		}
 	}
@@ -931,43 +990,14 @@ func writeEntry(w http.ResponseWriter, status int, e decisionEntry) {
 	enc.Encode(e)
 }
 
-// unavailable writes a generic load-shedding 503: Retry-After in whole
-// seconds (ceiling, minimum 1 — a sub-second hint must never round down
-// to "retry immediately") plus Retry-After-Ms with the real value.
-func (s *Server) unavailable(w http.ResponseWriter, msg string) {
-	hint := s.opt.RetryAfter
-	secs := int((hint + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+// unavailable writes a load-shedding 503 with its backoff hint in
+// Retry-After and Retry-After-Ms (serve.SetRetryAfter) and in the body's
+// retry_after_ms; a hint ≤ 0 falls back to the static RetryAfter option.
+func (s *Server) unavailable(w http.ResponseWriter, msg string, hint time.Duration) {
+	if hint <= 0 {
+		hint = s.opt.RetryAfter
 	}
-	ms := hint.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set("Retry-After-Ms", strconv.FormatInt(ms, 10))
-	httpError(w, http.StatusServiceUnavailable, msg)
-}
-
-// unavailableShard sheds with Retry-After derived from shard si's live
-// containment state (Cluster.RetryAfterHint): the deterministic delay the
-// retry loop itself would wait before the shard's next attempt, so
-// clients back off in step with the recovery machinery instead of a fixed
-// constant. The HTTP header has 1-second resolution, so the sub-second
-// truth rides in Retry-After-Ms and the JSON body's retry_after_ms.
-func (s *Server) unavailableShard(w http.ResponseWriter, si int, msg string) {
-	hint := s.opt.RetryAfter
-	if si >= 0 {
-		if h := s.c.RetryAfterHint(si); h > 0 {
-			hint = h
-		}
-	}
-	secs := int((hint + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set("Retry-After-Ms", strconv.FormatInt(hint.Milliseconds(), 10))
+	serve.SetRetryAfter(w.Header(), hint)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	json.NewEncoder(w).Encode(map[string]any{"error": msg, "retry_after_ms": hint.Milliseconds()})
@@ -977,11 +1007,4 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func maxInt2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -62,27 +62,35 @@ type entry struct {
 	Error    string           `json:"error,omitempty"`
 }
 
-// startServer opens a fresh cluster, attaches a server, and returns both
-// with the test HTTP endpoint.
-func startServer(t *testing.T, dir string, shards int, sopt cluster.ServeOptions) (*cluster.Server, *cluster.Cluster, *httptest.Server) {
+// newServer opens a cluster in dir and builds a server over it, behind a
+// test HTTP endpoint, for the caller to attach.
+func newServer(t *testing.T, dir string, opt cluster.Options, sopt cluster.ServeOptions) (*cluster.Server, *cluster.Cluster, *httptest.Server) {
 	t.Helper()
-	c, err := cluster.Open(dir, cluster.Options{
-		Shards:      shards,
-		Placement:   "round-robin", // deterministic spread for the assertions below
-		Store:       schedrt.StoreOptions{NoSync: true},
-		RelaxedMeta: true,
-	})
+	c, err := cluster.Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := cluster.NewServer(sopt)
-	s.Attach(c)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Shutdown(context.Background())
 		c.Close()
 	})
+	return s, c, ts
+}
+
+// startServer opens a fresh cluster, attaches a server, and returns both
+// with the test HTTP endpoint.
+func startServer(t *testing.T, dir string, shards int, sopt cluster.ServeOptions) (*cluster.Server, *cluster.Cluster, *httptest.Server) {
+	t.Helper()
+	s, c, ts := newServer(t, dir, cluster.Options{
+		Shards:      shards,
+		Placement:   "round-robin", // deterministic spread for the assertions below
+		Store:       schedrt.StoreOptions{NoSync: true},
+		RelaxedMeta: true,
+	}, sopt)
+	s.Attach(c)
 	return s, c, ts
 }
 
@@ -190,7 +198,7 @@ func TestServerBatchAdmit(t *testing.T) {
 	}
 	batch := []schedrt.Event{
 		mk("b0"), mk("b1"), mk("b2"),
-		mk("b0"), // duplicate: synthesized 409-style entry
+		mk("b0"), // duplicate of a pending add: stale at its shard
 		{Op: "overload", Overload: &schedrt.OverloadSpec{
 			Rates: sim.FaultRates{OverrunProb: 0.1, OverrunFactor: 2}, Epochs: 2,
 		}},

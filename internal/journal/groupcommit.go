@@ -295,7 +295,7 @@ func (g *GroupCommitter) CommitAll(recs []Pending) (uint64, error) {
 
 // Flush waits until every group that exists right now has been written
 // and synced (or failed). New Commit calls may still arrive; a drained
-// shutdown bars the door first (serve.Server.Shutdown), making Flush the
+// shutdown bars the door first (cluster.Server.Shutdown), making Flush the
 // "no acknowledged-pending records" guarantee before the journal closes.
 func (g *GroupCommitter) Flush() error {
 	g.mu.Lock()

@@ -29,8 +29,9 @@ type Event struct {
 	// shard store. A durable Store tracks the maximum Seq it has applied
 	// (Store.MaxSeq) through its WAL and checkpoints, which is what lets a
 	// recovering cluster locate its position in a shared tape without a
-	// separate cursor. Zero means unsequenced; single-node paths never set
-	// it.
+	// separate cursor. Zero means unsequenced: a Store driven directly (its
+	// PlayTape, or the in-memory Runtime) never sets it, and a cluster
+	// adopting such a store numbers its requests (Store.SequenceRequests).
 	Seq uint64 `json:"seq,omitempty"`
 }
 

@@ -368,6 +368,21 @@ func (s *Store) MaxSeq() uint64 { return s.maxSeq }
 // LastIndex returns the journal position (last appended record index).
 func (s *Store) LastIndex() uint64 { return s.wal.LastIndex() }
 
+// SequenceRequests numbers the requests this store journaled without a
+// sequence number (a single-store driver never stamps Event.Seq) as
+// 1..EventsApplied, by raising MaxSeq to EventsApplied, and checkpoints so
+// the new MaxSeq is durable. A cluster that adopts the store as a shard
+// reads MaxSeq as its tape cursor, so it resumes the tape right after the
+// requests the store already holds — where the store itself would have.
+func (s *Store) SequenceRequests() error {
+	if s.maxSeq >= s.eventsApplied {
+		return nil
+	}
+	s.maxSeq = s.eventsApplied
+	_, err := s.Checkpoint()
+	return err
+}
+
 // Epoch and Digest proxy the runtime's position.
 func (s *Store) Epoch() int64   { return s.rt.Epoch() }
 func (s *Store) Digest() uint64 { return s.rt.Digest() }

@@ -13,8 +13,8 @@ import (
 // The admit benchmarks model the serve architecture honestly: a closed
 // loop of `conc` clients, each with ONE outstanding request (like an HTTP
 // caller awaiting its Decision), a bounded ticket queue, and a single
-// engine goroutine that owns the store — exactly the shape of
-// serve.Server. Serial mode applies tickets one at a time (one fsync
+// engine goroutine that owns the store — exactly the shape of one
+// shard's engine in cluster.Server. Serial mode applies tickets one at a time (one fsync
 // each); group mode drains the queue and commits the batch under one
 // fsync. Real fsyncs (b.TempDir), so fsyncs/admit and admits/s are the
 // acceptance-criterion numbers.

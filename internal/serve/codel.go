@@ -9,6 +9,8 @@ package serve
 
 import (
 	"math"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -93,9 +95,8 @@ func (q *queueCtl) predictWait(depth int) time.Duration {
 	return q.svcEWMA * time.Duration(depth)
 }
 
-// QueueCtl is the concurrency-safe exported handle over queueCtl, for
-// serving layers outside this package (the cluster server keeps one per
-// shard queue).
+// QueueCtl is the concurrency-safe exported handle over queueCtl (the
+// cluster server keeps one per shard queue).
 type QueueCtl struct {
 	mu sync.Mutex
 	q  *queueCtl
@@ -164,4 +165,15 @@ func (q *queueCtl) admit(now time.Time, depth int, deadline time.Duration) (reas
 		return "codel", q.predictWait(depth)
 	}
 	return "", 0
+}
+
+// SetRetryAfter sets a shed response's backoff headers from hint:
+// Retry-After in whole seconds (ceiling, minimum 1 — a sub-second hint
+// must never round to "retry immediately") and Retry-After-Ms with the
+// real value (minimum 1) for clients that can honor milliseconds.
+func SetRetryAfter(h http.Header, hint time.Duration) {
+	secs := int64((hint + time.Second - 1) / time.Second)
+	ms := hint.Milliseconds()
+	h.Set("Retry-After", strconv.FormatInt(max(secs, 1), 10))
+	h.Set("Retry-After-Ms", strconv.FormatInt(max(ms, 1), 10))
 }

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"context"
 	"math"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -115,7 +112,6 @@ func TestCoDelDroppingEpisode(t *testing.T) {
 // must not round to "retry immediately"), while Retry-After-Ms carries
 // the real value for clients that can honor milliseconds.
 func TestRetryAfterCeilingAndMs(t *testing.T) {
-	s := New(Options{RetryAfter: 3 * time.Second})
 	cases := []struct {
 		hint     time.Duration
 		secs, ms string
@@ -124,98 +120,16 @@ func TestRetryAfterCeilingAndMs(t *testing.T) {
 		{200 * time.Millisecond, "1", "200"},
 		{2 * time.Second, "2", "2000"},
 		{500 * time.Microsecond, "1", "1"},
-		{0, "3", "3000"}, // falls back to the static option
+		{3 * time.Second, "3", "3000"},
 	}
 	for _, tc := range cases {
-		w := httptest.NewRecorder()
-		s.unavailableHint(w, "shed", tc.hint)
-		if w.Code != http.StatusServiceUnavailable {
-			t.Fatalf("hint %v: status %d, want 503", tc.hint, w.Code)
-		}
-		if got := w.Header().Get("Retry-After"); got != tc.secs {
+		h := http.Header{}
+		SetRetryAfter(h, tc.hint)
+		if got := h.Get("Retry-After"); got != tc.secs {
 			t.Errorf("hint %v: Retry-After %q, want %q", tc.hint, got, tc.secs)
 		}
-		if got := w.Header().Get("Retry-After-Ms"); got != tc.ms {
+		if got := h.Get("Retry-After-Ms"); got != tc.ms {
 			t.Errorf("hint %v: Retry-After-Ms %q, want %q", tc.hint, got, tc.ms)
 		}
-	}
-}
-
-// TestDeadlineShedAtAdmit covers the handler path: an /admit carrying
-// X-Deadline-Ms shorter than the predicted queue wait is shed at the door
-// (503, named reason, counter, nothing applied), while one with a
-// generous deadline rides the normal accepted-⇒-applied contract.
-func TestDeadlineShedAtAdmit(t *testing.T) {
-	s := New(Options{QueueDepth: 2, RequestTimeout: 10 * time.Second, RetryAfter: 3 * time.Second})
-	st := openTestStore(t)
-	// White-box attach without the engine, with a pre-seeded drain-rate
-	// estimate of 100ms/ticket — predicted wait at depth 1 is 100ms.
-	s.store = st
-	s.ready.Store(true)
-	s.publish("")
-	s.ctlMu.Lock()
-	s.ctl.observe(1, 100*time.Millisecond, 0, time.Now())
-	s.ctlMu.Unlock()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req, err := http.NewRequest("POST", ts.URL+"/admit", strings.NewReader(string(addEventJSON(t, "tight"))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Deadline-Ms", "10")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("tight-deadline admit: %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" || resp.Header.Get("Retry-After-Ms") == "" {
-		t.Error("deadline shed missing Retry-After hints")
-	}
-	if got := s.deadlineShed.Load(); got != 1 {
-		t.Fatalf("deadlineShed counter = %d, want 1", got)
-	}
-	if got := st.EventsApplied(); got != 0 {
-		t.Fatalf("shed admission reached the store: %d events applied", got)
-	}
-
-	// A generous deadline is admitted and — once the engine runs — applied.
-	done := make(chan int, 1)
-	go func() {
-		req, err := http.NewRequest("POST", ts.URL+"/admit", strings.NewReader(string(addEventJSON(t, "roomy"))))
-		if err != nil {
-			done <- 0
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Deadline-Ms", "60000")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			done <- 0
-			return
-		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("roomy-deadline admission never enqueued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	go s.engine()
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("roomy-deadline admit: %d, want 200", code)
-	}
-	if got := st.EventsApplied(); got != 1 {
-		t.Fatalf("store applied %d events, want 1", got)
 	}
 }

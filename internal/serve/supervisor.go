@@ -1,11 +1,13 @@
-// Package serve turns the durable runtime into a crash-only network
-// service: a supervisor that restarts the serving loop after panics or
-// errors (exponential backoff, jitter, a restart budget), and an HTTP
-// control plane with readiness gating, a bounded admission queue, and
-// load shedding. The design premise is the crash-only one — the service
-// has no special shutdown state to protect, because recovery *is* the
-// startup path (runtime.OpenStore), so the supervisor's only job is to
-// re-enter it without melting the machine in a crash loop.
+// Package serve holds the parts of the crash-only network service that do
+// not depend on how the state is partitioned (the HTTP control plane
+// itself is cluster.Server): a supervisor that restarts the serving loop
+// after panics or errors (exponential backoff, jitter, a restart budget),
+// the zero-allocation /admit decoder, and adaptive admission-queue control
+// (drain-rate estimation, deadline shedding, CoDel, Retry-After hints).
+// The design premise is the crash-only one — the service has no special
+// shutdown state to protect, because recovery *is* the startup path
+// (cluster.Open), so the supervisor's only job is to re-enter it without
+// melting the machine in a crash loop.
 package serve
 
 import (

@@ -11,6 +11,8 @@
 #   shards     wide configuration   (default: 8)
 #   min_ratio  fail below this admits/s scaling ratio (default: 4; 0 skips)
 #
+# Both widths run the same server (a single node is a one-shard cluster).
+#
 # Why admitted adds: one scheduler saturates at Theorem-1 utilization 1.0 —
 # past that point every add is feasibility-rejected, and HTTP 200s keep
 # flowing while admission capacity is flat. The workload (-names well past
@@ -52,8 +54,11 @@ go build -o "$bin/loadgen" ./cmd/loadgen
 
 run_width() {
   local width="$1" report="$2"
+  # -queue counts events per shard: room for every event the clients can
+  # have in flight, so neither width sheds on queue depth and the ratio
+  # measures admission capacity alone.
   "$bin/impserve" -dir "$bin/state-$width" -listen "$addr" -quiet \
-    -shards "$width" -placement "$placement" -queue 256 &
+    -shards "$width" -placement "$placement" -queue "$((conns * batch))" &
   pid=$!
   for _ in $(seq 1 100); do
     if curl -fsS "http://$addr/readyz" >/dev/null 2>&1; then break; fi
