@@ -39,7 +39,8 @@
 // retried/recovered, so transient backpressure — a shard mid-failover —
 // reads differently from capacity the cluster truly refused. Responses are parsed for verdicts, so
 // the report separates *admitted* adds (the capacity headline) from
-// feasibility rejections.
+// feasibility rejections, and counts the events a 200 batch reply shed
+// one by one as shed_events, apart from whole-request sheds.
 //
 // With -deadline-ms every request carries an X-Deadline-Ms header — the
 // server's admission gate sheds up front when its predicted queue wait
@@ -68,6 +69,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,6 +214,7 @@ type targetReport struct {
 	OK             uint64        `json:"ok"`
 	Stale          uint64        `json:"stale"`
 	Shed           uint64        `json:"shed"`
+	ShedEvents     uint64        `json:"shed_events"`
 	Errors         uint64        `json:"errors"`
 	Admits         uint64        `json:"admits"`
 	Retried        uint64        `json:"retried"`
@@ -237,6 +240,11 @@ type report struct {
 	Stale    uint64 `json:"stale"`
 	Shed     uint64 `json:"shed"`
 	Errors   uint64 `json:"errors"`
+
+	// ShedEvents counts events the server shed inside a 200 /admit/batch
+	// reply (an entry whose error starts "load shed:"). Shed above counts
+	// whole requests refused with 503; the two never overlap.
+	ShedEvents uint64 `json:"shed_events"`
 
 	// Retried counts 503 responses that were retried after honoring the
 	// server's Retry-After guidance; Recovered counts requests that then
@@ -341,6 +349,7 @@ type tstat struct {
 	ok         uint64
 	stale      uint64
 	shed       uint64
+	shedEvents uint64
 	errs       uint64
 	reqs       uint64
 	events     uint64
@@ -374,13 +383,18 @@ type verdictEntry struct {
 	Error    string       `json:"error"`
 }
 
-// countVerdicts tallies admitted vs rejected adds out of a 200 response.
+// countVerdicts tallies admitted vs rejected adds, and events shed inside
+// a batch, out of a 200 response.
 func (s *tstat) countVerdicts(body []byte) {
 	var d decisionBody
 	if err := json.Unmarshal(body, &d); err != nil {
 		return // latency and status already counted; verdicts are best-effort
 	}
 	tally := func(op string, verdict int, errmsg string) {
+		if strings.HasPrefix(errmsg, "load shed:") {
+			s.shedEvents++
+			return
+		}
 		if op != "add" || errmsg != "" {
 			return
 		}
@@ -633,6 +647,7 @@ func run() int {
 			tr.OK += s.ok
 			tr.Stale += s.stale
 			tr.Shed += s.shed
+			tr.ShedEvents += s.shedEvents
 			tr.Errors += s.errs
 			tr.Admits += s.admits
 			tr.Retried += s.retried
@@ -644,6 +659,7 @@ func run() int {
 			rep.OK += s.ok
 			rep.Stale += s.stale
 			rep.Shed += s.shed
+			rep.ShedEvents += s.shedEvents
 			rep.Errors += s.errs
 			rep.Admits += s.admits
 			rep.AddRejects += s.addRejects

@@ -262,43 +262,28 @@ func emit(what string, cfg experiments.Config, csvDir string) error {
 		return writeCSV(csvDir, "churn.csv", func(f *os.File) error {
 			return experiments.WriteChurnCSV(f, r)
 		})
-	case "chaos":
-		dir, err := os.MkdirTemp("", "paperbench-chaos-*")
+	case "chaos", "gray":
+		faults := experiments.ChaosFaults
+		if what == "gray" {
+			faults = experiments.GrayFaults
+		}
+		dir, err := os.MkdirTemp("", "paperbench-"+what+"-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		r, err := experiments.ChaosSoak(cfg, dir, churnEvents, nil, "", chaosReplicas)
+		r, err := experiments.Soak(cfg, dir, churnEvents, nil, "", chaosReplicas, faults)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatChaosSoak(r))
-		if err := writeCSV(csvDir, "chaos.json", func(f *os.File) error {
+		fmt.Print(experiments.FormatSoak(r))
+		if err := writeCSV(csvDir, what+".json", func(f *os.File) error {
 			return experiments.WriteJSON(f, r)
 		}); err != nil {
 			return err
 		}
-		return writeCSV(csvDir, "chaos.csv", func(f *os.File) error {
-			return experiments.WriteChaosSoakCSV(f, r)
-		})
-	case "gray":
-		dir, err := os.MkdirTemp("", "paperbench-gray-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		r, err := experiments.GraySoak(cfg, dir, churnEvents, nil, "", chaosReplicas)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatGraySoak(r))
-		if err := writeCSV(csvDir, "gray.json", func(f *os.File) error {
-			return experiments.WriteJSON(f, r)
-		}); err != nil {
-			return err
-		}
-		return writeCSV(csvDir, "gray.csv", func(f *os.File) error {
-			return experiments.WriteGraySoakCSV(f, r)
+		return writeCSV(csvDir, what+".csv", func(f *os.File) error {
+			return experiments.WriteSoakCSV(f, r)
 		})
 	case "energy":
 		rows, err := experiments.Energy("Rnd8", cfg)
@@ -337,12 +322,12 @@ artifacts:
   churn    long-running runtime churn soak (-events admission events per
            tape, both engines, zero-clean-miss and digest checks)
   chaos    cluster chaos soak (-events churn events under seeded shard
-           kills, wedge-evacuations and storage faults; zero-lost-task,
-           zero-clean-miss and digest-reproducibility checks)
+           kills, wedge-evacuations and storage faults; soak invariants
+           checked after every tick, per-tick digest reproducibility)
   gray     cluster gray-failure soak (-events churn events under seeded
            drive brownouts; latency-SLO detection, deadline sheds and
-           proactive promotion versus a blind control drive, with
-           zero-lost-task and digest-reproducibility checks)
+           proactive promotion versus a blind control drive, with the
+           same per-tick invariant and digest checks)
   all      everything above (except ilp, faults, churn, chaos and gray)
 
 SIGINT/SIGTERM finishes the artifact in flight, keeps the CSVs already

@@ -4,15 +4,17 @@
 # torment plan injects storage faults on every shard WAL (failed fsyncs,
 # torn writes, disk-full, stalls), crash-restarts shards, and wedge-
 # evacuates them through the checkpoint-handoff migration path. Each
-# width drives the tape three times (serial, serial again, concurrent)
-# and the run fails if any task is silently lost, any clean-window
-# deadline is missed, or any drive's digests/owner map diverge.
+# width drives the tape three times (serial, serial again, concurrent),
+# checks the soak invariants after every tick of every drive (accepted ⇒
+# live, one owner per task, one primary per shard, zero clean misses),
+# and fails on the first violation or on any tick where the drives'
+# digests diverge. Rows carry no lost/orphan columns: a returned row has
+# passed the checker.
 #
 # With replicas > 0 every shard carries that many synchronous followers
 # and the expect-model tightens to zero shed: wedges land on primary and
 # follower drives, failover must absorb every one (promotions instead of
-# evacuations), and the run fails on any shed, lost, orphaned or
-# clean-missed task.
+# evacuations), and the run fails on any shed.
 #
 # usage: scripts/chaos_soak.sh [outdir] [events] [replicas]
 #

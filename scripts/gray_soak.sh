@@ -5,11 +5,14 @@
 # still succeeds, just far over the latency SLO, the failure mode
 # fail-stop health checks cannot see. Each width drives the tape four
 # times: signal-armed serial twice and concurrent once (all three must
-# agree exactly — digests, owners, promotion/shed/miss counts), plus one
-# blind control drive with the latency signal off. The run fails if any
-# task is silently lost, any clean-window deadline is missed, any drive
-# diverges, a brownout is absorbed without promotion (replicas > 0), or
-# the armed drive misses more deadlines than the blind one.
+# agree exactly — per-tick digests, owners, promotion/shed/miss counts),
+# plus one blind control drive with the latency signal off. The soak
+# invariants (accepted ⇒ live, one owner per task, one primary per
+# shard, zero clean misses) are checked after every tick of every
+# drive, so rows carry no lost/orphan columns. The run fails on any
+# violation, any divergence, a brownout absorbed without promotion
+# (replicas > 0), or the armed drive missing more deadlines than the
+# blind one.
 #
 # usage: scripts/gray_soak.sh [outdir] [events] [replicas]
 #
