@@ -371,15 +371,16 @@ func BenchmarkILPOffline(b *testing.B) {
 			b.Run(name+"/"+st.name, func(b *testing.B) {
 				p := st.build()
 				b.ResetTimer()
-				var nodes int
+				var nodes, pivots int
 				for i := 0; i < b.N; i++ {
 					sol, err := ilp.Solve(p, st.opt)
 					if err != nil {
 						b.Fatal(err)
 					}
-					nodes = sol.Nodes
+					nodes, pivots = sol.Nodes, sol.Pivots
 				}
 				b.ReportMetric(float64(nodes), "nodes")
+				b.ReportMetric(float64(pivots), "pivots/op")
 			})
 		}
 	}

@@ -97,6 +97,7 @@ func (st *bbState) dive(root *node) error {
 			if err != nil {
 				return err
 			}
+			st.sol.Pivots += fixed.Pivots
 			if fixed.Status == lp.Optimal {
 				s, cur = fixed, leNode
 				break

@@ -108,6 +108,13 @@ type Solution struct {
 	Objective float64
 	Nodes     int     // explored branch-and-bound nodes
 	BestBound float64 // global lower bound at termination
+	// Pivots sums the simplex pivots (bound flips included) of the root
+	// relaxation, the root dive and every processed node. It is a count of
+	// work, identical under every Workers setting.
+	Pivots int
+	// ColdFallbacks counts re-solves that could not be warm-started and
+	// fell back to a cold two-phase solve.
+	ColdFallbacks int
 }
 
 const intTol = 1e-6
@@ -299,6 +306,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 			rel := nd.sol
 			nd.sol = nil
 			sol.Nodes++
+			sol.Pivots += rel.Pivots
 			switch rel.Status {
 			case lp.Infeasible:
 				continue
