@@ -93,11 +93,14 @@ func (st *bbState) dive(root *node) error {
 		for _, v := range [2]float64{near, far} {
 			geNode := &node{parent: cur, j: j, v: v, upper: false}
 			leNode := &node{parent: geNode, j: j, v: v, upper: true}
-			fixed, err := st.solveNode(0, leNode)
+			fixed, err := st.diveSolve(leNode)
 			if err != nil {
 				return err
 			}
 			st.sol.Pivots += fixed.Pivots
+			if !st.opt.DenseRowBounds && !fixed.Warm {
+				st.sol.ColdFallbacks++
+			}
 			if fixed.Status == lp.Optimal {
 				s, cur = fixed, leNode
 				break
@@ -109,4 +112,15 @@ func (st *bbState) dive(root *node) error {
 		curSol = s
 	}
 	return nil
+}
+
+// diveSolve solves a dive node on worker 0. The native encoding re-solves
+// warm from the solver's live tableau — the root's, or the previous
+// fix's — since the dive is serial and runs before the search; the
+// dense-row encoding changes the rows and stays cold.
+func (st *bbState) diveSolve(nd *node) (*lp.Solution, error) {
+	if st.opt.DenseRowBounds {
+		return st.solveNodeDense(0, nd)
+	}
+	return st.solvers[0].Resolve(st.nodeProblem(0, nd))
 }

@@ -8,12 +8,18 @@
 //
 // Branching tightens a native variable bound (lb/ub) instead of appending a
 // dense constraint row, so the simplex tableau does not grow with tree
-// depth; the historical dense-row encoding is retained behind
-// Options.DenseRowBounds and proven result-equivalent by the package's
-// differential tests. The search can fan LP relaxation solves over a
-// bounded worker pool (Options.Workers); sequence-numbered tie-breaking
-// keeps the explored node order — and therefore the incumbent, objective,
-// node count, BestBound and Status — bit-identical to a serial run.
+// depth and every relaxation below the root is a bound change away from
+// the root's. Only the root LP is solved cold: the dive re-solves each fix
+// warm from the live tableau, and every node restores the root's optimal
+// tableau and re-solves it with lp.Solver.Resolve's dual simplex. Tie
+// weights on the integral variables make each relaxation's vertex
+// independent of that pivot path. The historical dense-row encoding is
+// retained, cold, behind Options.DenseRowBounds and proven
+// result-equivalent by the package's differential tests. The search can
+// fan LP relaxation solves over a bounded worker pool (Options.Workers);
+// sequence-numbered tie-breaking keeps the explored node order — and
+// therefore the incumbent, objective, node count, BestBound and Status —
+// bit-identical to a serial run.
 package ilp
 
 import (
@@ -92,8 +98,9 @@ type Options struct {
 	// on bit-identical output should bound MaxNodes instead.)
 	Workers int
 	// DenseRowBounds encodes each branching bound as a dense constraint
-	// row appended to the node's LP, the pre-bounded-simplex formulation.
-	// Kept for differential testing; slower, identical results.
+	// row appended to the node's LP, the pre-bounded-simplex formulation,
+	// and solves every relaxation cold. Kept for differential testing;
+	// slower, identical results.
 	DenseRowBounds bool
 	// DisableHeuristic skips the root rounding/diving primal heuristic.
 	DisableHeuristic bool
@@ -155,6 +162,8 @@ type bbState struct {
 	sol  *Solution
 
 	solvers        []*lp.Solver
+	rootSnap       *lp.Snapshot // the root's optimal tableau; nodes re-solve from it
+	tie            []float64    // lp.Problem.Tie weights of every relaxation
 	baseLo, baseUp []float64
 	lo, up         [][]float64 // per-worker materialized bounds
 	chains         [][]*node   // per-worker chain-collection scratch
@@ -207,6 +216,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		sol:    &Solution{Status: Limit, Objective: math.Inf(1), BestBound: math.Inf(-1)},
 		baseLo: make([]float64, n),
 		baseUp: make([]float64, n),
+		tie:    tieWeights(p),
 	}
 	for j := 0; j < n; j++ {
 		st.baseLo[j], st.baseUp[j] = 0, math.Inf(1)
@@ -238,6 +248,9 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		return nil, err
 	}
 	root.sol = rootSol
+	if !opt.DenseRowBounds {
+		st.rootSnap = st.solvers[0].Snapshot()
+	}
 	if !opt.DisableHeuristic && rootSol.Status == lp.Optimal {
 		if err := st.heuristic(root); err != nil {
 			return nil, err
@@ -307,6 +320,9 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 			nd.sol = nil
 			sol.Nodes++
 			sol.Pivots += rel.Pivots
+			if st.rootSnap != nil && nd.parent != nil && !rel.Warm {
+				sol.ColdFallbacks++
+			}
 			switch rel.Status {
 			case lp.Infeasible:
 				continue
@@ -381,12 +397,27 @@ func (st *bbState) tryIncumbent(x []float64, obj float64) {
 	}
 }
 
-// solveNode materializes nd's bound chain and solves its LP relaxation with
-// worker w's pooled simplex.
+// solveNode solves nd's LP relaxation with worker w's pooled simplex. The
+// root is solved cold; every other node restores the root's optimal
+// tableau into the worker's solver and re-solves it warm under its own
+// bound chain, so the result is a pure function of the chain whichever
+// worker runs it and whatever that worker solved before.
 func (st *bbState) solveNode(w int, nd *node) (*lp.Solution, error) {
 	if st.opt.DenseRowBounds {
 		return st.solveNodeDense(w, nd)
 	}
+	sub := st.nodeProblem(w, nd)
+	sv := st.solvers[w]
+	if nd.parent == nil {
+		return sv.Solve(sub)
+	}
+	sv.Restore(st.rootSnap)
+	return sv.Resolve(sub)
+}
+
+// nodeProblem materializes nd's bound chain into worker w's bounds
+// scratch and returns the base model under those bounds.
+func (st *bbState) nodeProblem(w int, nd *node) *lp.Problem {
 	lo, up := st.lo[w], st.up[w]
 	copy(lo, st.baseLo)
 	copy(up, st.baseUp)
@@ -406,8 +437,7 @@ func (st *bbState) solveNode(w int, nd *node) (*lp.Solution, error) {
 			}
 		}
 	}
-	sub := lp.Problem{NumVars: st.p.LP.NumVars, C: st.p.LP.C, Rows: st.p.LP.Rows, Lo: lo, Up: up}
-	return st.solvers[w].Solve(&sub)
+	return &lp.Problem{NumVars: st.p.LP.NumVars, C: st.p.LP.C, Rows: st.p.LP.Rows, Lo: lo, Up: up, Tie: st.tie}
 }
 
 // solveNodeDense is the retained legacy encoding: every branching bound
@@ -431,8 +461,25 @@ func (st *bbState) solveNodeDense(w int, nd *node) (*lp.Solution, error) {
 		rows = append(rows, lp.Constraint{Coef: d.coef(n, len(ch)-1-i, b.j), Sense: sense, RHS: b.v})
 	}
 	d.rows = rows[:0]
-	sub := lp.Problem{NumVars: n, C: st.p.LP.C, Rows: rows, Lo: st.p.LP.Lo, Up: st.p.LP.Up}
+	sub := lp.Problem{NumVars: n, C: st.p.LP.C, Rows: rows, Lo: st.p.LP.Lo, Up: st.p.LP.Up, Tie: st.tie}
 	return st.solvers[w].Solve(&sub)
+}
+
+// tieWeights gives each integral variable j the weight 1 + frac(j·φ), a
+// low-discrepancy sequence, and continuous variables weight 0. A model
+// with interchangeable variables (the mode ILP's jobs of one task) has
+// many optimal relaxation vertices; minimizing these weights over the
+// optimal face picks one whatever pivot path reached it, so a warm
+// re-solve, a cold solve and the dense-row encoding branch alike.
+func tieWeights(p *Problem) []float64 {
+	w := make([]float64, p.LP.NumVars)
+	for j, isInt := range p.Integer {
+		if isInt {
+			_, f := math.Modf(float64(j) * math.Phi)
+			w[j] = 1 + f
+		}
+	}
+	return w
 }
 
 // mostFractional returns the integral variable farthest from an integer in

@@ -1,6 +1,8 @@
 // Package lp is a from-scratch dense linear-programming solver: a two-phase
 // primal simplex with bounded variables and a Dantzig→Bland anti-cycling
-// pricing fallback. It is the substrate under internal/ilp, which the
+// pricing fallback, plus a bounded-variable dual simplex that re-solves a
+// problem warm from the basis of its last optimal solve when only the
+// variable bounds changed. It is the substrate under internal/ilp, which the
 // paper's offline ILP scheduling (§IV) runs on.
 //
 // Problems are stated over box-bounded variables:
@@ -12,12 +14,13 @@
 // Variable bounds are handled natively by the simplex — a bound never
 // becomes a tableau row — which is what lets the branch-and-bound in
 // internal/ilp tighten bounds at every tree node without growing the
-// tableau with tree depth.
+// tableau with tree depth, and re-solve a node from a held basis
+// (Solver.Resolve) instead of from scratch.
 //
-// The implementation favours clarity and numerical robustness over speed:
-// the scheduling models it solves have a few hundred rows and columns, where
-// dense tableaus are perfectly adequate. A Solver can be reused across
-// solves to pool the tableau allocation (the branch-and-bound hot loop).
+// The tableau is dense: the scheduling models it solves have a few hundred
+// rows and columns, where dense tableaus are adequate. A Solver is reused
+// across solves to pool the tableau allocation (the branch-and-bound hot
+// loop), and Snapshot/Restore carry one optimal basis to many re-solves.
 package lp
 
 import (
@@ -65,6 +68,12 @@ type Problem struct {
 	C       []float64 // minimize C·x; len == NumVars
 	Rows    []Constraint
 	Lo, Up  []float64 // variable bounds; nil = default [0, +Inf)
+	// Tie, when set (len NumVars), breaks ties among optimal solutions:
+	// of the optimal vertices the solver returns one minimizing Tie·x.
+	// With generic weights that vertex does not depend on the pivot path
+	// (cold or warm, with or without redundant rows), which is what keeps
+	// a degenerate LP's answer the same under every solve strategy.
+	Tie []float64
 }
 
 // NewProblem returns an empty minimization problem over n variables.
@@ -130,17 +139,25 @@ func (s Status) String() string {
 	return "?"
 }
 
-// Solution is the result of Solve.
+// Solution is the result of Solve or Resolve.
 type Solution struct {
 	Status    Status
 	X         []float64 // primal values (valid when Optimal)
 	Objective float64   // c·x (valid when Optimal)
 	Pivots    int       // simplex iterations used (bound flips included)
+	// Warm reports that Resolve answered from the held basis. False means
+	// a cold two-phase solve produced the result (Solve, or a Resolve
+	// that fell back); the pivots of an abandoned warm attempt are still
+	// counted in Pivots.
+	Warm bool
 }
 
 const (
 	eps       = 1e-9
 	maxPivots = 200000
+	// checkTol is the scaled tolerance a warm result's X must meet on
+	// every original row and bound before Resolve returns it.
+	checkTol = 1e-7
 )
 
 // ErrPivotLimit is returned when the simplex exceeds its iteration budget,
@@ -159,20 +176,67 @@ func Solve(p *Problem) (*Solution, error) {
 // across Solve calls, so a warm Solver allocates only the returned Solution.
 // A Solver is not safe for concurrent use; give each goroutine its own.
 type Solver struct {
-	m, n int // constraint rows; total structural+slack+artificial columns
+	m, n int // tableau constraint rows; columns (structural+slack, +artificial in phase 1)
+	nv   int // structural variables of the held problem
+	rows int // constraint rows of the held problem
 
 	flat  []float64   // backing storage for the tableau
 	a     [][]float64 // row views into flat; a[m] is the objective row
 	basis []int       // basis[i] = column basic in row i
 
 	ub   []float64 // per-column upper bound in shifted space (slack/art: +Inf)
-	flip []bool    // column j is expressed as u_j − x_j (nonbasic at upper)
+	flip []bool    // column j is expressed as u_j − x_j (at its upper bound when nonbasic)
 	lo   []float64 // structural lower bounds (the shift)
+	up   []float64 // structural upper bounds, as given
 
-	rowCoef  []float64 // normalized row coefficients, m×n
-	rowRHS   []float64
-	rowSense []Sense
-	artCols  []int
+	rowRHS  []float64 // shifted right-hand sides, before sign normalization
+	artCols []int
+	rowsNZ  *sparseRows // the held problem's rows, for checking a warm X
+
+	// held: the tableau is a dual-feasible basis of the held problem's
+	// rows and objective under the bounds in lo/up — after an Optimal
+	// solve, and after a warm re-solve that ended Optimal or proved
+	// infeasibility. Resolve starts from it; anything else clears it.
+	held bool
+}
+
+// boundsOf returns x_j's box in p.
+func boundsOf(p *Problem, j int) (lo, up float64) {
+	lo, up = 0, math.Inf(1)
+	if p.Lo != nil {
+		lo = p.Lo[j]
+	}
+	if p.Up != nil {
+		up = p.Up[j]
+	}
+	return lo, up
+}
+
+// check validates p's shape and bounds. It reports empty=true when some
+// box is empty, which makes the problem infeasible before any pivot.
+func check(p *Problem) (empty bool, err error) {
+	if len(p.C) != p.NumVars {
+		return false, fmt.Errorf("lp: objective has %d coefficients for %d variables", len(p.C), p.NumVars)
+	}
+	if p.Lo != nil && len(p.Lo) != p.NumVars {
+		return false, fmt.Errorf("lp: Lo has %d entries for %d variables", len(p.Lo), p.NumVars)
+	}
+	if p.Up != nil && len(p.Up) != p.NumVars {
+		return false, fmt.Errorf("lp: Up has %d entries for %d variables", len(p.Up), p.NumVars)
+	}
+	if p.Tie != nil && len(p.Tie) != p.NumVars {
+		return false, fmt.Errorf("lp: Tie has %d entries for %d variables", len(p.Tie), p.NumVars)
+	}
+	for j := 0; j < p.NumVars; j++ {
+		lo, up := boundsOf(p, j)
+		if math.IsInf(lo, -1) || math.IsNaN(lo) {
+			return false, fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, lo)
+		}
+		if up < lo-eps {
+			empty = true
+		}
+	}
+	return empty, nil
 }
 
 // Solve runs the two-phase bounded-variable simplex.
@@ -185,100 +249,64 @@ type Solver struct {
 // ratio test gains two cases: a basic variable may leave at its *upper*
 // bound, and the entering variable may hit its own opposite bound first —
 // a bound flip that re-substitutes the column without any pivot.
+//
+// After an Optimal solve the Solver holds the final tableau, so Resolve
+// can re-solve the same rows and objective under new bounds.
 func (sv *Solver) Solve(p *Problem) (*Solution, error) {
-	if len(p.C) != p.NumVars {
-		return nil, fmt.Errorf("lp: objective has %d coefficients for %d variables", len(p.C), p.NumVars)
+	sv.held = false
+	empty, err := check(p)
+	if err != nil {
+		return nil, err
 	}
-	if p.Lo != nil && len(p.Lo) != p.NumVars {
-		return nil, fmt.Errorf("lp: Lo has %d entries for %d variables", len(p.Lo), p.NumVars)
-	}
-	if p.Up != nil && len(p.Up) != p.NumVars {
-		return nil, fmt.Errorf("lp: Up has %d entries for %d variables", len(p.Up), p.NumVars)
+	sol := &Solution{}
+	if empty {
+		sol.Status = Infeasible
+		return sol, nil
 	}
 	m := len(p.Rows)
 	n := p.NumVars
-	sol := &Solution{}
 
-	// Shift structural variables to lower bound zero and reject empty boxes.
+	// Shift structural variables to lower bound zero.
 	sv.lo = resize(sv.lo, n)
+	sv.up = resize(sv.up, n)
 	for j := 0; j < n; j++ {
-		lo := 0.0
-		if p.Lo != nil {
-			lo = p.Lo[j]
-		}
-		if math.IsInf(lo, -1) || math.IsNaN(lo) {
-			return nil, fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, lo)
-		}
-		sv.lo[j] = lo
-		up := math.Inf(1)
-		if p.Up != nil {
-			up = p.Up[j]
-		}
-		if up < lo-eps {
-			sol.Status = Infeasible
-			return sol, nil
-		}
+		sv.lo[j], sv.up[j] = boundsOf(p, j)
 	}
 
-	// Normalize rows: substitute the shift into the RHS, then flip rows to
-	// b ≥ 0 so phase 1 can start from the slack/artificial basis.
-	sv.rowCoef = resize(sv.rowCoef, m*n)
+	// Substitute the shift into each RHS. A row whose shifted RHS is
+	// negative is negated below (b ≥ 0, its sense mirrored) so phase 1 can
+	// start from the slack/artificial basis; the sense decides whether
+	// the row takes a slack, an artificial or both.
 	sv.rowRHS = resize(sv.rowRHS, m)
-	if cap(sv.rowSense) < m {
-		sv.rowSense = make([]Sense, m)
-	}
-	sv.rowSense = sv.rowSense[:m]
-	for i, r := range p.Rows {
-		coef := sv.rowCoef[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			if j < len(r.Coef) {
-				coef[j] = r.Coef[j]
-			} else {
-				coef[j] = 0
-			}
-		}
-		rhs := r.RHS
-		for j := 0; j < n; j++ {
-			rhs -= coef[j] * sv.lo[j]
-		}
-		sense := r.Sense
-		if rhs < 0 {
-			for j := range coef {
-				coef[j] = -coef[j]
-			}
-			rhs = -rhs
-			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
-			}
-		}
-		sv.rowRHS[i], sv.rowSense[i] = rhs, sense
-	}
-
-	// Column layout: [structural | slacks/surplus | artificials | RHS].
+	nz := &sparseRows{at: make([]int, 1, m+1)}
 	nSlack, nArt := 0, 0
-	for _, s := range sv.rowSense {
-		if s != EQ {
+	for i, r := range p.Rows {
+		rhs := r.RHS
+		for j, c := range r.Coef[:min(len(r.Coef), n)] {
+			if c != 0 {
+				rhs -= c * sv.lo[j]
+				nz.idx = append(nz.idx, j)
+				nz.val = append(nz.val, c)
+			}
+		}
+		nz.at = append(nz.at, len(nz.idx))
+		sv.rowRHS[i] = rhs
+		sense := normSense(r.Sense, rhs)
+		if sense != EQ {
 			nSlack++
 		}
-		if s != LE {
+		if sense != LE {
 			nArt++
 		}
 	}
+
+	// Column layout: [structural | slacks/surplus | artificials | RHS].
 	total := n + nSlack + nArt
-	sv.m, sv.n = m, total
-	sv.flat = resize(sv.flat, (m+1)*(total+1))
+	sv.m, sv.n, sv.nv, sv.rows = m, total, n, m
+	sv.rowsNZ = nz
+	sv.layout(m, total)
 	for i := range sv.flat {
 		sv.flat[i] = 0
-	}
-	if cap(sv.a) < m+1 {
-		sv.a = make([][]float64, m+1)
-	}
-	sv.a = sv.a[:m+1]
-	for i := range sv.a {
-		sv.a[i] = sv.flat[i*(total+1) : (i+1)*(total+1)]
 	}
 	sv.basis = resizeInt(sv.basis, m)
 	sv.ub = resize(sv.ub, total)
@@ -288,40 +316,40 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 	sv.flip = sv.flip[:total]
 	for j := 0; j < total; j++ {
 		sv.flip[j] = false
+		sv.ub[j] = math.Inf(1)
 		if j < n {
-			up := math.Inf(1)
-			if p.Up != nil {
-				up = p.Up[j]
-			}
-			u := up - sv.lo[j]
-			if u < 0 {
-				u = 0
-			}
-			sv.ub[j] = u
-		} else {
-			sv.ub[j] = math.Inf(1)
+			sv.ub[j] = math.Max(sv.up[j]-sv.lo[j], 0)
 		}
 	}
 
+	// Normalize each row straight into its tableau row.
 	slackAt, artAt := n, n+nSlack
 	sv.artCols = sv.artCols[:0]
-	for i := 0; i < m; i++ {
-		copy(sv.a[i], sv.rowCoef[i*n:(i+1)*n])
-		sv.a[i][total] = sv.rowRHS[i]
-		switch sv.rowSense[i] {
+	for i, r := range p.Rows {
+		row := sv.a[i]
+		rhs := sv.rowRHS[i]
+		copy(row, r.Coef[:min(len(r.Coef), n)])
+		if rhs < 0 {
+			for j := 0; j < n; j++ {
+				row[j] = -row[j]
+			}
+			rhs = -rhs
+		}
+		row[total] = rhs
+		switch normSense(r.Sense, sv.rowRHS[i]) {
 		case LE:
-			sv.a[i][slackAt] = 1
+			row[slackAt] = 1
 			sv.basis[i] = slackAt
 			slackAt++
 		case GE:
-			sv.a[i][slackAt] = -1
+			row[slackAt] = -1
 			slackAt++
-			sv.a[i][artAt] = 1
+			row[artAt] = 1
 			sv.basis[i] = artAt
 			sv.artCols = append(sv.artCols, artAt)
 			artAt++
 		case EQ:
-			sv.a[i][artAt] = 1
+			row[artAt] = 1
 			sv.basis[i] = artAt
 			sv.artCols = append(sv.artCols, artAt)
 			artAt++
@@ -363,21 +391,14 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 					break
 				}
 			}
-			// A redundant row is harmless: its artificial stays basic at 0.
 		}
-		// Blank artificial columns so they can never re-enter.
-		for _, c := range sv.artCols {
-			for i := 0; i <= m; i++ {
-				sv.a[i][c] = 0
-			}
-			sv.ub[c] = 0
-		}
+		sv.dropArtificials(n + nSlack)
 	}
 
 	// Phase 2: restore the real objective in shifted/flipped space and price
 	// out the basis. The objective row's RHS cell tracks only the varying
 	// part; the true objective is recomputed as c·x on extraction.
-	objRow := sv.a[m]
+	objRow := sv.a[sv.m]
 	for j := range objRow {
 		objRow[j] = 0
 	}
@@ -388,9 +409,9 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 			objRow[j] = p.C[j]
 		}
 	}
-	for i := 0; i < m; i++ {
-		if c := sv.a[m][sv.basis[i]]; c != 0 {
-			sv.subtractRow(m, i, c)
+	for i := 0; i < sv.m; i++ {
+		if c := objRow[sv.basis[i]]; c != 0 {
+			sv.subtractRow(sv.m, i, c)
 		}
 	}
 	status, err := sv.iterate(&sol.Pivots)
@@ -401,9 +422,110 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 		sol.Status = Unbounded
 		return sol, nil
 	}
+	if err := sv.breakTies(p, &sol.Pivots); err != nil {
+		return nil, err
+	}
+	sv.extract(p, sol)
+	sv.held = true
+	return sol, nil
+}
 
-	// Extract: basic variables read the RHS column, nonbasic sit at zero;
-	// un-substitute flips and un-shift lower bounds.
+// breakTies moves an optimal tableau, along its optimal face, to the
+// vertex minimizing p.Tie·x: the tie row is priced out against the basis,
+// then the primal simplex runs on it with entry limited to columns whose
+// objective reduced cost is zero. A face unbounded in the tie direction
+// leaves the vertex where it stopped.
+func (sv *Solver) breakTies(p *Problem, pivots *int) error {
+	if p.Tie == nil {
+		return nil
+	}
+	tr := sv.a[sv.m+1]
+	for j := range tr {
+		tr[j] = 0
+	}
+	for j := 0; j < sv.nv; j++ {
+		if sv.flip[j] {
+			tr[j] = -p.Tie[j]
+		} else {
+			tr[j] = p.Tie[j]
+		}
+	}
+	for i := 0; i < sv.m; i++ {
+		if c := tr[sv.basis[i]]; c != 0 {
+			sv.subtractRow(sv.m+1, i, c)
+		}
+	}
+	_, err := sv.primal(pivots, sv.m+1)
+	return err
+}
+
+// normSense is a row's sense after the row is negated to make its shifted
+// RHS non-negative.
+func normSense(s Sense, rhs float64) Sense {
+	if rhs < 0 {
+		switch s {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return s
+}
+
+// layout sizes the tableau for m constraint rows, the objective row and
+// the tie row, over total columns plus the RHS column, and re-slices the
+// row views.
+func (sv *Solver) layout(m, total int) {
+	sv.flat = resize(sv.flat, (m+2)*(total+1))
+	if cap(sv.a) < m+2 {
+		sv.a = make([][]float64, m+2)
+	}
+	sv.a = sv.a[:m+2]
+	for i := range sv.a {
+		sv.a[i] = sv.flat[i*(total+1) : (i+1)*(total+1)]
+	}
+}
+
+// dropArtificials compacts the tableau after phase 1 to its first keep
+// columns plus the RHS. Artificial columns can never re-enter, and a row
+// whose artificial is still basic after the drive-out has no nonzero left
+// outside the artificials: it is a combination of the other rows, so it
+// is dropped with them. Rows and columns only move toward the front of
+// flat, so the copy runs in place.
+func (sv *Solver) dropArtificials(keep int) {
+	oldW := sv.n + 1
+	m := 0
+	for i := range sv.a {
+		if i < sv.m && sv.basis[i] >= keep {
+			continue // redundant row
+		}
+		src := sv.flat[i*oldW : (i+1)*oldW]
+		dst := sv.flat[m*(keep+1) : (m+1)*(keep+1)]
+		copy(dst, src[:keep])
+		dst[keep] = src[sv.n]
+		if i < sv.m {
+			sv.basis[m] = sv.basis[i]
+		}
+		m++
+	}
+	m -= 2 // the objective and tie rows were counted
+	sv.basis = sv.basis[:m]
+	sv.ub = sv.ub[:keep]
+	sv.flip = sv.flip[:keep]
+	sv.m, sv.n = m, keep
+	sv.flat = sv.flat[:(m+2)*(keep+1)]
+	sv.a = sv.a[:m+2]
+	for i := range sv.a {
+		sv.a[i] = sv.flat[i*(keep+1) : (i+1)*(keep+1)]
+	}
+}
+
+// extract reads the primal point off the tableau: basic variables read
+// the RHS column, nonbasic ones sit at zero; flips are un-substituted and
+// lower bounds un-shifted.
+func (sv *Solver) extract(p *Problem, sol *Solution) {
+	n := sv.nv
 	sol.Status = Optimal
 	sol.X = make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -413,9 +535,9 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 		}
 		sol.X[j] = sv.lo[j] + v
 	}
-	for i := 0; i < m; i++ {
+	for i := 0; i < sv.m; i++ {
 		if j := sv.basis[i]; j < n {
-			v := sv.a[i][total]
+			v := sv.a[i][sv.n]
 			if sv.flip[j] {
 				v = sv.ub[j] - v
 			}
@@ -427,7 +549,275 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 		obj += p.C[j] * sol.X[j]
 	}
 	sol.Objective = obj
-	return sol, nil
+}
+
+// Resolve re-solves the problem this Solver last held — the same Rows and
+// C, which the caller must not have changed — under p's Lo and Up. It is
+// the warm start of branch and bound: the held optimal basis stays dual
+// feasible when only bounds move, so a bounded dual simplex restores
+// primal feasibility in a few pivots where a cold solve starts over.
+//
+//  1. Every column whose bound changed is re-shifted: the RHS column
+//     absorbs the move of its lower (or, when flipped, upper) bound.
+//  2. Each nonbasic column rests at the bound that makes its reduced cost
+//     dual feasible; a negative reduced cost flips it to a finite upper
+//     bound.
+//  3. The dual simplex pivots out the basic variables that violate their
+//     bounds until the basis is primal feasible (Optimal), or a violated
+//     row admits no entering column — a dual ray, so Infeasible.
+//  4. A primal pass mops up reduced costs that drifted negative, and
+//     with Tie set the tie phase moves to the tie-broken vertex, as a
+//     cold Solve does.
+//
+// Resolve falls back to a cold Solve (Warm false) when no basis is held,
+// when step 2 meets a negative reduced cost with an infinite upper bound,
+// when the dual simplex exceeds its pivot cap or stalls on a violation
+// too small to prove infeasible, or when the optimal X fails a check
+// against the original rows and bounds.
+func (sv *Solver) Resolve(p *Problem) (*Solution, error) {
+	if !sv.held || p.NumVars != sv.nv || len(p.Rows) != sv.rows || len(p.C) != sv.nv {
+		return sv.Solve(p)
+	}
+	empty, err := check(p)
+	if err != nil {
+		return nil, err
+	}
+	sol := &Solution{Warm: true}
+	if empty {
+		sol.Status = Infeasible // the held basis is untouched and stays held
+		return sol, nil
+	}
+	sv.rebound(p)
+	if sv.placeDualFeasible() {
+		status, ok := sv.dualIterate(&sol.Pivots)
+		if ok && status == Infeasible {
+			sol.Status = Infeasible
+			return sol, nil
+		}
+		if ok {
+			status, err = sv.iterate(&sol.Pivots)
+			if err == nil && status == Optimal {
+				err = sv.breakTies(p, &sol.Pivots)
+			}
+			if err == nil && status == Optimal {
+				sv.extract(p, sol)
+				if sv.rowsNZ.satisfies(p, sol.X) {
+					return sol, nil
+				}
+			}
+		}
+	}
+	cold, err := sv.Solve(p) // Solve clears held before touching the tableau
+	if err != nil {
+		return nil, err
+	}
+	cold.Pivots += sol.Pivots
+	return cold, nil
+}
+
+// rebound moves the held tableau to p's bounds. A column's tableau
+// variable is x−lo, or up−x when flipped; moving that bound by δ shifts
+// the RHS column by ∓δ·(column). A basic column is a unit vector, so the
+// same update moves only its own row's value. A flipped column whose
+// upper bound becomes infinite is first un-flipped.
+func (sv *Solver) rebound(p *Problem) {
+	rhs := sv.n
+	for j := 0; j < sv.nv; j++ {
+		lo, up := boundsOf(p, j)
+		if lo == sv.lo[j] && up == sv.up[j] {
+			continue
+		}
+		if sv.flip[j] && math.IsInf(up, 1) {
+			sv.unflip(j)
+		}
+		d := lo - sv.lo[j]
+		if sv.flip[j] {
+			d = sv.up[j] - up
+		}
+		if d != 0 {
+			for i := 0; i <= sv.m; i++ {
+				if c := sv.a[i][j]; c != 0 {
+					sv.a[i][rhs] -= c * d
+				}
+			}
+		}
+		sv.lo[j], sv.up[j] = lo, up
+		sv.ub[j] = math.Max(up-lo, 0)
+	}
+}
+
+// unflip returns flipped column j to the x−lo form: a basic column takes
+// the complement of its row, a nonbasic one flips back to its lower bound.
+func (sv *Solver) unflip(j int) {
+	for i, b := range sv.basis {
+		if b == j {
+			sv.flipLeavingRow(i)
+			return
+		}
+	}
+	sv.flipColumn(j)
+}
+
+// placeDualFeasible rests every movable nonbasic column at the bound its
+// reduced cost prefers: a negative reduced cost flips the column to its
+// upper bound. It returns false when that bound is infinite.
+func (sv *Solver) placeDualFeasible() bool {
+	obj := sv.a[sv.m]
+	for j := 0; j < sv.n; j++ {
+		if obj[j] < -eps && sv.ub[j] > eps {
+			if math.IsInf(sv.ub[j], 1) {
+				return false
+			}
+			sv.flipColumn(j)
+		}
+	}
+	return true
+}
+
+// dualIterate runs the bounded-variable dual simplex from a dual-feasible
+// basis. The leaving row is the basic variable farthest outside its box
+// (ties to the lowest row); one above its upper bound first takes its
+// complement (flipLeavingRow), so it always leaves at zero. The entering
+// column minimizes d_j / −a_rj over the movable columns with a_rj < 0,
+// which keeps every reduced cost non-negative; near-ties go to the larger
+// pivot element. It returns Optimal once every basic variable is inside
+// its box (feasibility tolerance 1e-9, scaled) and Infeasible when a row
+// violated by more than checkTol admits no entering column. ok is false —
+// give up and solve cold — at the pivot cap 2(m+n), and when only a
+// smaller violation is left without an entering column.
+func (sv *Solver) dualIterate(pivots *int) (status Status, ok bool) {
+	limit := *pivots + 2*(sv.m+sv.n)
+	obj := sv.a[sv.m]
+	for {
+		r, worst, scale := -1, 0.0, 0.0
+		for i := 0; i < sv.m; i++ {
+			v := sv.a[i][sv.n]
+			u := sv.ub[sv.basis[i]]
+			viol := -v
+			if v > u {
+				viol = v - u
+			}
+			s := 1 + math.Abs(v)
+			if viol > eps*s && viol > worst {
+				r, worst, scale = i, viol, s
+			}
+		}
+		if r == -1 {
+			return Optimal, true
+		}
+		if *pivots >= limit {
+			return Optimal, false
+		}
+		if sv.a[r][sv.n] > 0 {
+			sv.flipLeavingRow(r)
+		}
+		row := sv.a[r]
+		col, best, bestPiv := -1, math.Inf(1), 0.0
+		for j := 0; j < sv.n; j++ {
+			arj := row[j]
+			if arj >= -eps || sv.ub[j] <= eps {
+				continue
+			}
+			ratio := math.Max(obj[j], 0) / -arj
+			if ratio < best-eps || (ratio < best+eps && -arj > bestPiv) {
+				col, best, bestPiv = j, ratio, -arj
+			}
+		}
+		if col == -1 {
+			return Infeasible, worst > checkTol*scale
+		}
+		sv.pivot(r, col)
+		*pivots++
+	}
+}
+
+// sparseRows is a problem's constraint matrix in compressed row form:
+// row i's nonzeros are idx/val[at[i]:at[i+1]]. Solve builds a new one for
+// every problem it holds, so snapshots share it read-only.
+type sparseRows struct {
+	at  []int
+	idx []int
+	val []float64
+}
+
+// satisfies checks x against every row (the coefficients in z, the sense
+// and RHS in p) and every bound of p within checkTol, scaled by the
+// magnitude of the terms involved.
+func (z *sparseRows) satisfies(p *Problem, x []float64) bool {
+	for j := range x {
+		lo, up := boundsOf(p, j)
+		if x[j] < lo-checkTol*(1+math.Abs(lo)) || x[j] > up+checkTol*(1+math.Abs(up)) {
+			return false
+		}
+	}
+	for i, r := range p.Rows {
+		dot, mag := 0.0, math.Abs(r.RHS)
+		for k := z.at[i]; k < z.at[i+1]; k++ {
+			t := z.val[k] * x[z.idx[k]]
+			dot += t
+			mag += math.Abs(t)
+		}
+		tol := checkTol * (1 + mag)
+		switch r.Sense {
+		case LE:
+			if dot > r.RHS+tol {
+				return false
+			}
+		case GE:
+			if dot < r.RHS-tol {
+				return false
+			}
+		case EQ:
+			if math.Abs(dot-r.RHS) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Snapshot is a saved copy of a Solver's held tableau, taken after an
+// optimal solve. Restoring it into any Solver (one per worker) makes that
+// Solver's next Resolve a pure function of the snapshot and the new
+// bounds, whatever the Solver solved before.
+type Snapshot struct {
+	m, n, nv, rows int
+	rowsNZ         *sparseRows
+	flat           []float64
+	basis          []int
+	ub, lo, up     []float64
+	flip           []bool
+}
+
+// Snapshot copies the held tableau, or returns nil when none is held.
+// The tableau carries no artificial columns (phase 1 drops them), so the
+// copy is (rows+1)×(structural+slack+1) floats.
+func (sv *Solver) Snapshot() *Snapshot {
+	if !sv.held {
+		return nil
+	}
+	return &Snapshot{
+		m: sv.m, n: sv.n, nv: sv.nv, rows: sv.rows, rowsNZ: sv.rowsNZ,
+		flat:  append([]float64(nil), sv.flat...),
+		basis: append([]int(nil), sv.basis...),
+		ub:    append([]float64(nil), sv.ub...),
+		lo:    append([]float64(nil), sv.lo...),
+		up:    append([]float64(nil), sv.up...),
+		flip:  append([]bool(nil), sv.flip...),
+	}
+}
+
+// Restore makes s the Solver's held tableau, reusing its buffers.
+func (sv *Solver) Restore(s *Snapshot) {
+	sv.m, sv.n, sv.nv, sv.rows, sv.rowsNZ = s.m, s.n, s.nv, s.rows, s.rowsNZ
+	sv.layout(s.m, s.n)
+	copy(sv.flat, s.flat)
+	sv.basis = append(sv.basis[:0], s.basis...)
+	sv.ub = append(sv.ub[:0], s.ub...)
+	sv.lo = append(sv.lo[:0], s.lo...)
+	sv.up = append(sv.up[:0], s.up...)
+	sv.flip = append(sv.flip[:0], s.flip...)
+	sv.held = true
 }
 
 // subtractRow does a[target] -= factor * a[row], including the RHS.
@@ -446,7 +836,7 @@ func (sv *Solver) pivot(row, col int) {
 		pr[j] /= pv
 	}
 	pr[col] = 1 // exact
-	for i := 0; i <= sv.m; i++ {
+	for i := range sv.a {
 		if i == row {
 			continue
 		}
@@ -463,7 +853,7 @@ func (sv *Solver) pivot(row, col int) {
 // from one bound to the other without a pivot.
 func (sv *Solver) flipColumn(col int) {
 	u := sv.ub[col]
-	for i := 0; i <= sv.m; i++ {
+	for i := range sv.a {
 		if c := sv.a[i][col]; c != 0 {
 			sv.a[i][sv.n] -= c * u
 			sv.a[i][col] = -c
@@ -488,7 +878,8 @@ func (sv *Solver) flipLeavingRow(r int) {
 	sv.flip[l] = !sv.flip[l]
 }
 
-// iterate runs primal simplex to optimality, unboundedness or the pivot cap.
+// iterate runs primal simplex on the objective row to optimality,
+// unboundedness or the pivot cap.
 //
 // Anti-cycling: Dantzig pricing (most negative reduced cost) is used while
 // the objective makes progress; after 2(m+n) stalled iterations the pricing
@@ -497,6 +888,14 @@ func (sv *Solver) flipLeavingRow(r int) {
 // flips move a variable by its full range u > 0 and are therefore never
 // degenerate, so Bland's argument carries over to the bounded simplex.
 func (sv *Solver) iterate(pivots *int) (Status, error) {
+	return sv.primal(pivots, sv.m)
+}
+
+// primal is the primal simplex priced on tableau row price: the objective
+// row, or the tie row, in which case only columns with a zero objective
+// reduced cost may enter, so every pivot stays on the optimal face.
+func (sv *Solver) primal(pivots *int, price int) (Status, error) {
+	obj := sv.a[sv.m]
 	stall := 0
 	lastObj := math.Inf(1)
 	for {
@@ -511,8 +910,8 @@ func (sv *Solver) iterate(pivots *int) (Status, error) {
 		col := -1
 		best := -eps
 		for j := 0; j < sv.n; j++ {
-			rc := sv.a[sv.m][j]
-			if rc < -eps && sv.ub[j] > eps {
+			rc := sv.a[price][j]
+			if rc < -eps && sv.ub[j] > eps && (price == sv.m || obj[j] <= eps) {
 				if bland {
 					col = j
 					break
@@ -568,10 +967,9 @@ func (sv *Solver) iterate(pivots *int) (Status, error) {
 		}
 		*pivots++
 
-		obj := -sv.a[sv.m][sv.n]
-		if obj < lastObj-eps {
+		if v := -sv.a[price][sv.n]; v < lastObj-eps {
 			stall = 0
-			lastObj = obj
+			lastObj = v
 		} else {
 			stall++
 		}
