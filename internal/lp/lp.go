@@ -368,7 +368,7 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 				sv.subtractRow(m, i, sv.a[m][sv.basis[i]])
 			}
 		}
-		status, err := sv.iterate(&sol.Pivots)
+		status, err := sv.primal(&sol.Pivots, sv.m)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +414,7 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 			sv.subtractRow(sv.m, i, c)
 		}
 	}
-	status, err := sv.iterate(&sol.Pivots)
+	status, err := sv.primal(&sol.Pivots, sv.m)
 	if err != nil {
 		return nil, err
 	}
@@ -589,13 +589,13 @@ func (sv *Solver) Resolve(p *Problem) (*Solution, error) {
 	}
 	sv.rebound(p)
 	if sv.placeDualFeasible() {
-		status, ok := sv.dualIterate(&sol.Pivots)
+		status, ok := sv.dual(&sol.Pivots)
 		if ok && status == Infeasible {
 			sol.Status = Infeasible
 			return sol, nil
 		}
 		if ok {
-			status, err = sv.iterate(&sol.Pivots)
+			status, err = sv.primal(&sol.Pivots, sv.m)
 			if err == nil && status == Optimal {
 				err = sv.breakTies(p, &sol.Pivots)
 			}
@@ -674,7 +674,7 @@ func (sv *Solver) placeDualFeasible() bool {
 	return true
 }
 
-// dualIterate runs the bounded-variable dual simplex from a dual-feasible
+// dual runs the bounded-variable dual simplex from a dual-feasible
 // basis. The leaving row is the basic variable farthest outside its box
 // (ties to the lowest row); one above its upper bound first takes its
 // complement (flipLeavingRow), so it always leaves at zero. The entering
@@ -685,7 +685,7 @@ func (sv *Solver) placeDualFeasible() bool {
 // violated by more than checkTol admits no entering column. ok is false —
 // give up and solve cold — at the pivot cap 2(m+n), and when only a
 // smaller violation is left without an entering column.
-func (sv *Solver) dualIterate(pivots *int) (status Status, ok bool) {
+func (sv *Solver) dual(pivots *int) (status Status, ok bool) {
 	limit := *pivots + 2*(sv.m+sv.n)
 	obj := sv.a[sv.m]
 	for {
@@ -878,8 +878,10 @@ func (sv *Solver) flipLeavingRow(r int) {
 	sv.flip[l] = !sv.flip[l]
 }
 
-// iterate runs primal simplex on the objective row to optimality,
-// unboundedness or the pivot cap.
+// primal runs the primal simplex, priced on tableau row price, to
+// optimality, unboundedness or the pivot cap. The price row is the
+// objective row, or the tie row; then only columns with a zero objective
+// reduced cost may enter, so every pivot stays on the optimal face.
 //
 // Anti-cycling: Dantzig pricing (most negative reduced cost) is used while
 // the objective makes progress; after 2(m+n) stalled iterations the pricing
@@ -887,13 +889,6 @@ func (sv *Solver) flipLeavingRow(r int) {
 // ratio-test ties), which provably terminates on degenerate tableaus. Bound
 // flips move a variable by its full range u > 0 and are therefore never
 // degenerate, so Bland's argument carries over to the bounded simplex.
-func (sv *Solver) iterate(pivots *int) (Status, error) {
-	return sv.primal(pivots, sv.m)
-}
-
-// primal is the primal simplex priced on tableau row price: the objective
-// row, or the tie row, in which case only columns with a zero objective
-// reduced cost may enter, so every pivot stays on the optimal face.
 func (sv *Solver) primal(pivots *int, price int) (Status, error) {
 	obj := sv.a[sv.m]
 	stall := 0
