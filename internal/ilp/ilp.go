@@ -320,7 +320,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 			nd.sol = nil
 			sol.Nodes++
 			sol.Pivots += rel.Pivots
-			if st.rootSnap != nil && nd.parent != nil && !rel.Warm {
+			if !opt.DenseRowBounds && nd.parent != nil && !rel.Warm {
 				sol.ColdFallbacks++
 			}
 			switch rel.Status {

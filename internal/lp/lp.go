@@ -173,7 +173,8 @@ func Solve(p *Problem) (*Solution, error) {
 
 // Solver is a reusable dense simplex. The zero value is ready to use; all
 // scratch state (tableau backing array, basis, bound bookkeeping) is pooled
-// across Solve calls, so a warm Solver allocates only the returned Solution.
+// across solves, so a reused Solver allocates little beyond the returned
+// Solution.
 // A Solver is not safe for concurrent use; give each goroutine its own.
 type Solver struct {
 	m, n int // tableau constraint rows; columns (structural+slack, +artificial in phase 1)
@@ -181,7 +182,7 @@ type Solver struct {
 	rows int // constraint rows of the held problem
 
 	flat  []float64   // backing storage for the tableau
-	a     [][]float64 // row views into flat; a[m] is the objective row
+	a     [][]float64 // row views into flat; a[m] is the objective row, a[m+1] the tie row
 	basis []int       // basis[i] = column basic in row i
 
 	ub   []float64 // per-column upper bound in shifted space (slack/art: +Inf)
@@ -575,7 +576,7 @@ func (sv *Solver) extract(p *Problem, sol *Solution) {
 // too small to prove infeasible, or when the optimal X fails a check
 // against the original rows and bounds.
 func (sv *Solver) Resolve(p *Problem) (*Solution, error) {
-	if !sv.held || p.NumVars != sv.nv || len(p.Rows) != sv.rows || len(p.C) != sv.nv {
+	if !sv.held || p.NumVars != sv.nv || len(p.Rows) != sv.rows {
 		return sv.Solve(p)
 	}
 	empty, err := check(p)
