@@ -287,25 +287,30 @@ func formatTheta(v float64) string {
 }
 
 // BenchmarkEngineDispatch measures the raw simulator dispatch rate: the
-// indexed-heap engine against the retained linear-scan reference, on the
+// default indexed engine against the retained linear-scan reference, on the
 // paper's largest case (Rnd13, 163 jobs per hyper-period) and on synthetic
-// stress sets whose pending queue averages n/2 deep. Run with -benchmem to
-// see the allocation win from the pooled run state.
+// stress sets whose pending queue averages n/2 deep. Those rows run
+// EDF-Imprecise, which only ever dispatches the EDF head; the mix row runs
+// plan-paper's seven methods on Rnd13 (EDF-Accurate with DropLate), so the
+// ESR slack queries and the offline+OA commitments are timed too. Run with
+// -benchmem to see the allocation win from the pooled run state.
 func BenchmarkEngineDispatch(b *testing.B) {
 	type bcase struct {
-		name string
-		set  *TaskSet
-		hp   int
-		jobs int // jobs simulated per op, reported as a custom metric
+		name     string
+		set      *TaskSet
+		hp       int
+		policies []string // each op runs every policy once
 	}
-	cases := []bcase{{name: "Rnd13", set: mustCaseSet(b, "Rnd13"), hp: 10, jobs: 10 * 163}}
+	edfImprecise := []string{"EDF-Imprecise"}
+	cases := []bcase{{name: "Rnd13", set: mustCaseSet(b, "Rnd13"), hp: 10, policies: edfImprecise}}
 	for _, n := range []int{50, 200, 500, 1000} {
 		s, err := workload.SyntheticStress(n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cases = append(cases, bcase{name: fmt.Sprintf("stress%d", n), set: s, hp: 5, jobs: 5 * n})
+		cases = append(cases, bcase{name: fmt.Sprintf("stress%d", n), set: s, hp: 5, policies: edfImprecise})
 	}
+	cases = append(cases, bcase{name: "mix", set: mustCaseSet(b, "Rnd13"), hp: 10, policies: tableIMethods})
 	engines := []struct {
 		name string
 		kind sim.EngineKind
@@ -314,21 +319,35 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		{"linear", sim.EngineLinearScan},
 	}
 	for _, c := range cases {
+		policies := make([]sim.Policy, len(c.policies))
+		for i, m := range c.policies {
+			p, err := buildDiffPolicy(m, c.set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			policies[i] = p
+		}
 		for _, e := range engines {
 			b.Run(c.name+"/"+e.name, func(b *testing.B) {
 				sampler := sim.NewRandomSampler(c.set, 1)
-				p := NewEDFImprecise()
+				var jobs int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := sim.Run(c.set, p, sim.Config{
-						Hyperperiods: c.hp,
-						Sampler:      sampler,
-						Engine:       e.kind,
-					}); err != nil {
-						b.Fatal(err)
+					jobs = 0
+					for j, p := range policies {
+						res, err := sim.Run(c.set, p, sim.Config{
+							Hyperperiods: c.hp,
+							Sampler:      sampler,
+							DropLate:     c.policies[j] == "EDF-Accurate",
+							Engine:       e.kind,
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						jobs += res.Jobs
 					}
 				}
-				b.ReportMetric(float64(c.jobs), "jobs/op")
+				b.ReportMetric(float64(jobs), "jobs/op")
 			})
 		}
 	}
