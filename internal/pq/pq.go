@@ -53,6 +53,16 @@ func (h *Heap[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
+// ReplaceMin replaces the minimum item with v and restores heap order with
+// one sift-down from the root, where Pop followed by Push(v) would move the
+// last item to the root, sift it down and then sift v up. When less is a
+// total order the queue yields the same sequence either way. The heap must
+// not be empty.
+func (h *Heap[T]) ReplaceMin(v T) {
+	h.items[0] = v
+	h.down(0)
+}
+
 // Items returns the backing slice in heap order (not sorted). Read-only;
 // primarily for policies that must scan all pending items.
 func (h *Heap[T]) Items() []T { return h.items }
@@ -88,299 +98,41 @@ func (h *Heap[T]) RemoveFunc(match func(T) bool) (v T, ok bool) {
 	return v, false
 }
 
+// up sifts position i toward the root and reports whether it moved. The
+// sifted item rides a hole: each ancestor it passes shifts down one
+// position, and the item is written once, at its final position.
 func (h *Heap[T]) up(i int) bool {
-	moved := false
+	v := h.items[i]
+	start := i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if !h.less(v, h.items[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		h.items[i] = h.items[parent]
 		i = parent
-		moved = true
 	}
-	return moved
+	h.items[i] = v
+	return i != start
 }
 
+// down sifts position i toward the leaves, hole-style like up.
 func (h *Heap[T]) down(i int) {
+	v := h.items[i]
 	n := len(h.items)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && h.less(h.items[right], h.items[left]) {
-			smallest = right
-		}
-		if !h.less(h.items[smallest], h.items[i]) {
-			return
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-}
-
-// IndexedHeap is a binary min-heap whose items are addressable by a unique
-// comparable key: Peek is O(1) and removal by key is O(log n), versus the
-// O(n) scan RemoveFunc needs on a plain Heap.
-//
-// Layout: items live in stable slots (nodes) and the heap orders int32 slot
-// ids, so a sift step moves one int and updates one int position field. The
-// key→slot map is lazy: it is first built when a caller actually addresses
-// a non-minimum key (Contains, or Remove of a non-root), and from then on
-// maintained with exactly one map write per Push and per Pop/Remove — never
-// during sifts. A workload that only ever pushes and removes the minimum
-// (an EDF dispatch loop) therefore pays no hashing at all.
-//
-// Keys must be unique. While the index is live a duplicate Push is detected
-// and rejected; before that the check is skipped, so pushing a duplicate
-// key is a caller bug that later keyed removals may misresolve.
-//
-// Determinism note: the heap's internal layout depends on insertion order,
-// but when less is a total order (no two distinct items compare equal) the
-// minimum — and therefore Peek/Pop/PeekExcluding — is unique regardless of
-// layout. The simulator's EDF ordering (deadline, release, task ID, index)
-// is such a total order, which is what makes the indexed engine
-// bit-identical to the linear-scan reference.
-type IndexedHeap[K comparable, T any] struct {
-	less    func(a, b T) bool
-	nodes   []inode[K, T]
-	heap    []int32     // heap position -> slot id into nodes
-	free    []int32     // recycled slot ids
-	slot    map[K]int32 // key -> slot id; nil semantics are in `indexed`
-	indexed bool        // slot map is live (built by ensureIndex)
-	scratch []T         // reused by Items
-}
-
-// inode is one stable item slot of an IndexedHeap.
-type inode[K comparable, T any] struct {
-	key  K
-	item T
-	pos  int32 // current heap position of this slot
-}
-
-// NewIndexed returns an empty indexed heap ordered by less.
-func NewIndexed[K comparable, T any](less func(a, b T) bool) *IndexedHeap[K, T] {
-	return &IndexedHeap[K, T]{less: less}
-}
-
-// ensureIndex builds the key→slot map from the live heap entries.
-func (h *IndexedHeap[K, T]) ensureIndex() {
-	if h.indexed {
-		return
-	}
-	if h.slot == nil {
-		h.slot = make(map[K]int32, len(h.heap))
-	}
-	for _, s := range h.heap {
-		h.slot[h.nodes[s].key] = s
-	}
-	h.indexed = true
-}
-
-// Len returns the number of queued items.
-func (h *IndexedHeap[K, T]) Len() int { return len(h.heap) }
-
-// Empty reports whether the heap has no items.
-func (h *IndexedHeap[K, T]) Empty() bool { return len(h.heap) == 0 }
-
-// Push adds an item under key. It reports false (and stores nothing) when
-// the key is already present.
-func (h *IndexedHeap[K, T]) Push(key K, v T) bool {
-	if h.indexed {
-		if _, dup := h.slot[key]; dup {
-			return false
-		}
-	}
-	var s int32
-	if n := len(h.free); n > 0 {
-		s = h.free[n-1]
-		h.free = h.free[:n-1]
-	} else {
-		s = int32(len(h.nodes))
-		h.nodes = append(h.nodes, inode[K, T]{})
-	}
-	i := int32(len(h.heap))
-	h.nodes[s] = inode[K, T]{key: key, item: v, pos: i}
-	h.heap = append(h.heap, s)
-	if h.indexed {
-		h.slot[key] = s
-	}
-	h.up(i)
-	return true
-}
-
-// Peek returns the minimum item without removing it. ok is false when empty.
-func (h *IndexedHeap[K, T]) Peek() (v T, ok bool) {
-	if len(h.heap) == 0 {
-		return v, false
-	}
-	return h.nodes[h.heap[0]].item, true
-}
-
-// PeekExcluding returns the minimum item whose key differs from exclude.
-// Because the root's children are each the minimum of their subtree, this is
-// O(1): when the root is excluded the answer is the smaller child.
-func (h *IndexedHeap[K, T]) PeekExcluding(exclude K) (v T, ok bool) {
-	n := len(h.heap)
-	if n == 0 {
-		return v, false
-	}
-	if h.nodes[h.heap[0]].key != exclude {
-		return h.nodes[h.heap[0]].item, true
-	}
-	switch {
-	case n == 1:
-		return v, false
-	case n == 2:
-		return h.nodes[h.heap[1]].item, true
-	default:
-		l, r := h.nodes[h.heap[1]].item, h.nodes[h.heap[2]].item
-		if h.less(r, l) {
-			return r, true
-		}
-		return l, true
-	}
-}
-
-// Pop removes and returns the minimum item and its key. ok is false when
-// empty.
-func (h *IndexedHeap[K, T]) Pop() (key K, v T, ok bool) {
-	if len(h.heap) == 0 {
-		return key, v, false
-	}
-	s := h.heap[0]
-	key, v = h.nodes[s].key, h.nodes[s].item
-	if h.indexed {
-		delete(h.slot, key)
-	}
-	h.deleteAt(0, s)
-	return key, v, true
-}
-
-// Remove deletes the item stored under key. ok is false when the key is not
-// present. O(log n); O(1) map traffic.
-func (h *IndexedHeap[K, T]) Remove(key K) (v T, ok bool) {
-	if len(h.heap) == 0 {
-		return v, false
-	}
-	s := h.heap[0]
-	if h.nodes[s].key != key {
-		h.ensureIndex()
-		var present bool
-		if s, present = h.slot[key]; !present {
-			return v, false
-		}
-	}
-	v = h.nodes[s].item
-	if h.indexed {
-		delete(h.slot, key)
-	}
-	h.deleteAt(h.nodes[s].pos, s)
-	return v, true
-}
-
-// Contains reports whether key is queued.
-func (h *IndexedHeap[K, T]) Contains(key K) bool {
-	h.ensureIndex()
-	_, ok := h.slot[key]
-	return ok
-}
-
-// Items appends every queued item to an internal scratch buffer and returns
-// it, in unspecified order. The slice is read-only and valid only until the
-// next call to any IndexedHeap method.
-func (h *IndexedHeap[K, T]) Items() []T {
-	h.scratch = h.scratch[:0]
-	for _, s := range h.heap {
-		h.scratch = append(h.scratch, h.nodes[s].item)
-	}
-	return h.scratch
-}
-
-// Clear removes all items but keeps the capacity of the backing arrays, so
-// a pooled heap re-used across simulation runs stops allocating once warm.
-func (h *IndexedHeap[K, T]) Clear() {
-	for i := range h.nodes {
-		h.nodes[i] = inode[K, T]{}
-	}
-	h.nodes = h.nodes[:0]
-	h.heap = h.heap[:0]
-	h.free = h.free[:0]
-	h.scratch = h.scratch[:0]
-	clear(h.slot)
-	h.indexed = false
-}
-
-// deleteAt removes heap position i (holding slot s): the last heap entry
-// takes its place and sifts, and the slot returns to the free list.
-func (h *IndexedHeap[K, T]) deleteAt(i int32, s int32) {
-	h.nodes[s] = inode[K, T]{}
-	h.free = append(h.free, s)
-	last := int32(len(h.heap) - 1)
-	moved := h.heap[last]
-	h.heap = h.heap[:last]
-	if i == last {
-		return
-	}
-	h.heap[i] = moved
-	h.nodes[moved].pos = i
-	if !h.up(i) {
-		h.down(i)
-	}
-}
-
-// up sifts heap position i toward the root, reporting whether it moved.
-// The sifted slot rides a hole: ancestors shift down one position each and
-// the slot is written once at its final position.
-func (h *IndexedHeap[K, T]) up(i int32) bool {
-	s := h.heap[i]
-	start := i
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := h.heap[parent]
-		if !h.less(h.nodes[s].item, h.nodes[p].item) {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.heap[i] = p
-		h.nodes[p].pos = i
-		i = parent
-	}
-	if i == start {
-		return false
-	}
-	h.heap[i] = s
-	h.nodes[s].pos = i
-	return true
-}
-
-// down sifts heap position i toward the leaves, hole-style like up.
-func (h *IndexedHeap[K, T]) down(i int32) {
-	s := h.heap[i]
-	n := int32(len(h.heap))
-	start := i
-	for {
-		left := 2*i + 1
-		if left >= n {
+		if r := c + 1; r < n && h.less(h.items[r], h.items[c]) {
+			c = r
+		}
+		if !h.less(h.items[c], v) {
 			break
 		}
-		c := h.heap[left]
-		ci := left
-		if right := left + 1; right < n {
-			if rc := h.heap[right]; h.less(h.nodes[rc].item, h.nodes[c].item) {
-				c, ci = rc, right
-			}
-		}
-		if !h.less(h.nodes[c].item, h.nodes[s].item) {
-			break
-		}
-		h.heap[i] = c
-		h.nodes[c].pos = i
-		i = ci
+		h.items[i] = h.items[c]
+		i = c
 	}
-	if i != start {
-		h.heap[i] = s
-		h.nodes[s].pos = i
-	}
+	h.items[i] = v
 }

@@ -211,192 +211,51 @@ func TestRemoveFuncProperty(t *testing.T) {
 	}
 }
 
-// --- IndexedHeap -------------------------------------------------------------
-
-func indexedHeap() *IndexedHeap[int, int] {
-	return NewIndexed[int](func(a, b int) bool { return a < b })
-}
-
-func TestIndexedEmptyBehaviour(t *testing.T) {
-	h := indexedHeap()
-	if !h.Empty() || h.Len() != 0 {
-		t.Error("fresh heap not empty")
+func TestReplaceMin(t *testing.T) {
+	h := intHeap()
+	for _, v := range []int{5, 3, 8, 1} {
+		h.Push(v)
 	}
-	if _, ok := h.Peek(); ok {
-		t.Error("Peek on empty heap returned ok")
-	}
-	if _, _, ok := h.Pop(); ok {
-		t.Error("Pop on empty heap returned ok")
-	}
-	if _, ok := h.Remove(1); ok {
-		t.Error("Remove on empty heap returned ok")
-	}
-	if _, ok := h.PeekExcluding(1); ok {
-		t.Error("PeekExcluding on empty heap returned ok")
-	}
-}
-
-func TestIndexedPushPopOrdering(t *testing.T) {
-	h := indexedHeap()
-	in := []int{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
-	for i, v := range in {
-		if !h.Push(i, v) {
-			t.Fatalf("Push(%d) rejected", i)
-		}
-	}
-	if !h.Contains(3) { // forces the lazy index, arming duplicate detection
-		t.Fatal("Contains(3) = false")
-	}
-	if h.Push(3, 99) {
-		t.Error("duplicate key accepted")
-	}
-	if h.Len() != len(in) {
-		t.Fatalf("Len = %d, want %d", h.Len(), len(in))
-	}
-	for want := 0; want < len(in); want++ {
-		if v, ok := h.Peek(); !ok || v != want {
-			t.Fatalf("Peek = %d,%v, want %d", v, ok, want)
-		}
-		k, v, ok := h.Pop()
-		if !ok || v != want || in[k] != v {
-			t.Fatalf("Pop = key %d value %d,%v, want value %d", k, v, ok, want)
+	h.ReplaceMin(9) // 1 leaves, 9 joins
+	h.ReplaceMin(0) // 3 leaves, 0 becomes the minimum
+	want := []int{0, 5, 8, 9}
+	for _, w := range want {
+		if v, _ := h.Pop(); v != w {
+			t.Fatalf("got %d, want %d", v, w)
 		}
 	}
 	if !h.Empty() {
-		t.Error("heap not empty after draining")
+		t.Fatal("heap not empty")
 	}
 }
 
-func TestIndexedRemoveByKey(t *testing.T) {
-	h := indexedHeap()
-	in := []int{5, 3, 8, 1, 9}
-	for i, v := range in {
-		h.Push(i, v)
-	}
-	if v, ok := h.Remove(2); !ok || v != 8 {
-		t.Fatalf("Remove(2) = %d,%v, want 8", v, ok)
-	}
-	if h.Contains(2) {
-		t.Error("removed key still present")
-	}
-	if _, ok := h.Remove(2); ok {
-		t.Error("double removal succeeded")
-	}
-	want := []int{1, 3, 5, 9}
-	for _, w := range want {
-		_, v, ok := h.Pop()
-		if !ok || v != w {
-			t.Fatalf("Pop = %d,%v, want %d", v, ok, w)
+// Property: ReplaceMin(v) leaves the heap popping the same sequence as Pop
+// followed by Push(v).
+func TestReplaceMinMatchesPopPush(t *testing.T) {
+	f := func(in []int16, repl []int16) bool {
+		if len(in) == 0 {
+			return true
 		}
-	}
-}
-
-func TestIndexedPeekExcluding(t *testing.T) {
-	h := indexedHeap()
-	h.Push(0, 4)
-	if _, ok := h.PeekExcluding(0); ok {
-		t.Error("excluding the only item should find nothing")
-	}
-	if v, ok := h.PeekExcluding(9); !ok || v != 4 {
-		t.Errorf("excluding absent key = %d,%v, want 4", v, ok)
-	}
-	h.Push(1, 7)
-	if v, ok := h.PeekExcluding(0); !ok || v != 7 {
-		t.Errorf("two items, root excluded = %d,%v, want 7", v, ok)
-	}
-	h.Push(2, 5)
-	// Root is 4 (key 0); children 7 and 5: excluded root → smaller child.
-	if v, ok := h.PeekExcluding(0); !ok || v != 5 {
-		t.Errorf("three items, root excluded = %d,%v, want 5", v, ok)
-	}
-	// Excluding a non-root key leaves the minimum untouched.
-	if v, ok := h.PeekExcluding(1); !ok || v != 4 {
-		t.Errorf("non-root excluded = %d,%v, want 4", v, ok)
-	}
-}
-
-func TestIndexedClearKeepsUsable(t *testing.T) {
-	h := indexedHeap()
-	for i := 0; i < 10; i++ {
-		h.Push(i, 100-i)
-	}
-	h.Clear()
-	if !h.Empty() || h.Contains(3) {
-		t.Error("Clear left state behind")
-	}
-	if !h.Push(3, 42) {
-		t.Error("key unusable after Clear")
-	}
-	if _, v, _ := h.Pop(); v != 42 {
-		t.Error("heap unusable after Clear")
-	}
-}
-
-// Property: interleaved keyed removals keep the heap a valid min-heap and
-// the position index consistent.
-func TestIndexedRemoveProperty(t *testing.T) {
-	f := func(in []uint8, picks []uint8) bool {
-		h := indexedHeap()
-		for i, v := range in {
-			h.Push(i, int(v))
+		a, b := intHeap(), intHeap()
+		for _, v := range in {
+			a.Push(int(v))
+			b.Push(int(v))
 		}
-		removed := map[int]bool{}
-		for _, p := range picks {
-			if len(in) == 0 {
-				break
-			}
-			k := int(p) % len(in)
-			_, ok := h.Remove(k)
-			if ok == removed[k] {
-				return false // removal succeeded twice or failed while present
-			}
-			removed[k] = true
+		for _, v := range repl {
+			a.ReplaceMin(int(v))
+			b.Pop()
+			b.Push(int(v))
 		}
-		prev := -1
-		count := 0
-		for !h.Empty() {
-			k, v, _ := h.Pop()
-			if v < prev || removed[k] || int(in[k]) != v {
+		for !b.Empty() {
+			x, _ := a.Pop()
+			y, _ := b.Pop()
+			if x != y {
 				return false
 			}
-			prev = v
-			count++
 		}
-		return count == len(in)-len(removed)
+		return a.Empty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: PeekExcluding(k) equals the minimum over all items whose key is
-// not k, computed by brute force.
-func TestIndexedPeekExcludingProperty(t *testing.T) {
-	f := func(in []uint8, pick uint8) bool {
-		h := indexedHeap()
-		for i, v := range in {
-			h.Push(i, int(v))
-		}
-		exclude := 0
-		if len(in) > 0 {
-			exclude = int(pick) % len(in)
-		}
-		want, found := 0, false
-		for i, v := range in {
-			if i == exclude {
-				continue
-			}
-			if !found || int(v) < want {
-				want, found = int(v), true
-			}
-		}
-		got, ok := h.PeekExcluding(exclude)
-		if ok != found {
-			return false
-		}
-		return !found || got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -179,7 +179,8 @@ type Config struct {
 	// jitter.
 	Jitter JitterSampler
 	// Engine selects the dispatch-core implementation. EngineIndexed (the
-	// zero value) is the production O(log n) core; EngineLinearScan is the
+	// zero value) is the production core, per-task pending queues under a
+	// heap of task heads (O(log tasks) per dispatch); EngineLinearScan is the
 	// retained reference used by differential tests and benchmark baselines.
 	// Both produce bit-identical Results.
 	Engine EngineKind
@@ -245,6 +246,16 @@ type release struct {
 	taskID int
 }
 
+// releaseFirst orders release events by time, then task ID. The queue holds
+// one event per task, so this is a total order: same-time releases enter the
+// pending set in task-ID order whatever the heap's layout.
+func releaseFirst(a, b release) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.taskID < b.taskID
+}
+
 // State is the engine view a policy sees. It is valid only during the
 // callbacks of one Run: the engine pools and reuses State instances (and
 // their internal heap buffers) across runs, so policies must not retain a
@@ -267,10 +278,10 @@ type State struct {
 	degraded []bool         // per task: forced-imprecise under DowngradeOnOverrun
 }
 
-// statePool recycles run state — the pending-queue heaps, the release event
-// queue and the per-task index slices — across the thousands of Run calls
-// an experiment sweep makes, so a warm sweep allocates per run only what
-// escapes into the Result.
+// statePool recycles run state — the per-task pending queues and their
+// heaps, the release event queue and the per-task index slices — across the
+// thousands of Run calls an experiment sweep makes, so a warm sweep
+// allocates per run only what escapes into the Result.
 var statePool = sync.Pool{New: func() any { return new(State) }}
 
 // reset prepares a (possibly recycled) State for a fresh run.
@@ -279,9 +290,9 @@ func (st *State) reset(s *task.Set, cfg Config) {
 	st.now = 0
 	st.horizon = s.MaxRelease() + task.Time(cfg.Hyperperiods)*s.Hyperperiod()
 	st.jitter = cfg.Jitter
-	st.pend.reset(cfg.Engine == EngineLinearScan)
+	st.pend.reset(cfg.Engine == EngineLinearScan, s.Len())
 	if st.releases == nil {
-		st.releases = pq.New(func(a, b release) bool { return a.at < b.at })
+		st.releases = pq.New(releaseFirst)
 	} else {
 		st.releases.Clear()
 	}
@@ -358,9 +369,9 @@ func edfBefore(a, b task.Job) bool {
 // NextReleaseTime returns the earliest release time among unreleased future
 // jobs and pending jobs other than exclude; ok is false when no such job
 // exists within the horizon. This is the r_next of the ESR idle-slack rule.
-// With the indexed engine both candidates are O(1) heap peeks; the
-// release-ordered mirror heap is maintained incrementally from the first
-// call on instead of being rescanned per dispatch.
+// With the indexed engine both candidates are O(1) heap reads; the
+// release-ordered heap of task heads is maintained incrementally from the
+// first call on instead of being rescanned per dispatch.
 func (st *State) NextReleaseTime(exclude task.JobKey) (task.Time, bool) {
 	best, found := st.pend.minRelease(exclude)
 	if r, ok := st.releases.Peek(); ok && (!found || r.at < best) {
@@ -375,14 +386,14 @@ func (st *State) JobsPerHyperperiod(taskID int) int { return st.jobsPerP[taskID]
 // advanceReleases moves every job released at or before t into pending.
 // Under jitter, the heap entry's time is the actual release; the next
 // job's earliest point is that release plus the period (sporadic minimum
-// separation).
+// separation). The task's next release replaces its event in place (one
+// sift-down); a task with no release left in the horizon leaves the queue.
 func (st *State) advanceReleases(t task.Time) {
 	for {
 		r, ok := st.releases.Peek()
 		if !ok || r.at > t {
 			return
 		}
-		st.releases.Pop()
 		idx := st.nextIndex[r.taskID]
 		tk := st.set.Task(r.taskID)
 		job := task.Job{TaskID: r.taskID, Index: idx, Release: r.at, Deadline: r.at + tk.Period}
@@ -399,13 +410,16 @@ func (st *State) advanceReleases(t task.Time) {
 			nextAt += st.jitter.ReleaseJitter(tk, idx+1)
 		}
 		if nextAt+tk.Period <= st.horizon {
-			st.releases.Push(release{at: nextAt, taskID: r.taskID})
+			st.releases.ReplaceMin(release{at: nextAt, taskID: r.taskID})
+		} else {
+			st.releases.Pop()
 		}
 	}
 }
 
 // removePending deletes the job from the pending set; reports whether it
-// was present. O(log n) with the indexed engine.
+// was present. With the indexed engine removing a task's head is one
+// sift-down over the task heads.
 func (st *State) removePending(key task.JobKey) bool {
 	return st.pend.remove(key)
 }
