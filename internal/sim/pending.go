@@ -76,6 +76,11 @@ func (q *taskQueue) push(j task.Job) {
 	q.jobs = append(q.jobs, j)
 }
 
+// fifoCap is the capacity a task's FIFO starts with. Tasks seldom hold more
+// pending jobs than this, so a fresh queue carves every FIFO from one slab
+// instead of growing each on its own.
+const fifoCap = 4
+
 // reset prepares the queue for a fresh run over ntasks tasks, keeping every
 // buffer's capacity, the per-task FIFOs' included.
 func (p *pendingQueue) reset(linear bool, ntasks int) {
@@ -86,9 +91,21 @@ func (p *pendingQueue) reset(linear bool, ntasks int) {
 		p.tasks = append(p.tasks[:cap(p.tasks)], make([]taskQueue, ntasks-cap(p.tasks))...)
 	}
 	p.tasks = p.tasks[:ntasks]
+	bare := 0
 	for i := range p.tasks {
-		p.tasks[i].jobs = p.tasks[i].jobs[:0]
-		p.tasks[i].head = 0
+		q := &p.tasks[i]
+		q.jobs, q.head = q.jobs[:0], 0
+		if cap(q.jobs) == 0 {
+			bare++
+		}
+	}
+	if bare > 0 && !linear {
+		slab := make([]task.Job, bare*fifoCap)
+		for i := range p.tasks {
+			if q := &p.tasks[i]; cap(q.jobs) == 0 {
+				q.jobs, slab = slab[:0:fifoCap], slab[fifoCap:]
+			}
+		}
 	}
 	p.byDeadline.reset(ntasks, false)
 	p.byRelease.reset(ntasks, true)
@@ -189,6 +206,9 @@ func (p *pendingQueue) popHead(q *taskQueue) {
 
 // track makes h live, building it from the current task heads.
 func (p *pendingQueue) track(h *headHeap) {
+	if cap(h.items) < len(p.tasks) {
+		h.items = make([]task.Job, 0, len(p.tasks)) // a heap holds one head per task at most
+	}
 	h.items = h.items[:0]
 	for i := range p.tasks {
 		if q := &p.tasks[i]; q.head < len(q.jobs) {
