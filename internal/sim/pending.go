@@ -7,15 +7,16 @@ type EngineKind uint8
 
 const (
 	// EngineIndexed is the production dispatch core. Pending jobs are kept
-	// per task, in one FIFO each, and a binary heap over the non-empty
-	// tasks orders them by their head job under the EDF total order, so
-	// EDFPick is an O(1) peek. Releasing a job behind an earlier pending job
-	// of its task is O(1) (the task's head does not change); dispatching or
-	// shedding a head is one sift-down over at most one entry per task. A
-	// second heap over the same heads, in release order, is built lazily the
-	// first time a policy asks for NextReleaseTime and maintained from then
-	// on, so the ESR idle-slack query reads four entries instead of
-	// rescanning the pending set.
+	// per task, in one FIFO each. A binary heap over the non-empty tasks,
+	// keyed by each task's head job under the EDF total order, answers
+	// EDFPick with an O(1) peek and sheds DropLate jobs from its top; a
+	// second heap over the same heads, in release order, answers the ESR
+	// idle-slack query NextReleaseTime by reading at most four entries.
+	// Each heap is built the first time a policy needs its order and
+	// maintained from then on. Releasing a job behind an earlier pending
+	// job of its task is O(1) (the task's head does not change);
+	// dispatching or shedding a head is one sift over at most one entry
+	// per task.
 	EngineIndexed EngineKind = iota
 	// EngineLinearScan is the pre-heap reference implementation, retained
 	// verbatim: an unordered slice walked on every EDFPick, NextReleaseTime
