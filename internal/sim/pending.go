@@ -87,6 +87,9 @@ const fifoCap = 4
 func (p *pendingQueue) reset(linear bool, ntasks int) {
 	p.linear = linear
 	p.list = p.list[:0]
+	if linear {
+		return
+	}
 	p.n = 0
 	if cap(p.tasks) < ntasks {
 		p.tasks = append(p.tasks[:cap(p.tasks)], make([]taskQueue, ntasks-cap(p.tasks))...)
@@ -100,7 +103,7 @@ func (p *pendingQueue) reset(linear bool, ntasks int) {
 			bare++
 		}
 	}
-	if bare > 0 && !linear {
+	if bare > 0 {
 		slab := make([]task.Job, bare*fifoCap)
 		for i := range p.tasks {
 			if q := &p.tasks[i]; cap(q.jobs) == 0 {
