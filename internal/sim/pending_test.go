@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"nprt/internal/task"
 )
@@ -199,6 +200,102 @@ func TestPendingQueueResetKeepsCapacity(t *testing.T) {
 	run()
 	if a := testing.AllocsPerRun(20, run); a != 0 {
 		t.Errorf("warm reset: %v allocations per run, want 0", a)
+	}
+}
+
+// quickJobs turns fuzzer bytes into jobs of four tasks: each byte picks a
+// task and the gap before that task's next release, so within a task index,
+// release and deadline all rise, as the engine releases them.
+func quickJobs(in []uint8) []task.Job {
+	var last [4]task.Time
+	var next [4]int
+	js := make([]task.Job, len(in))
+	for i, b := range in {
+		id := int(b % 4)
+		r := last[id] + task.Time(b/4%5)
+		js[i] = jobOf(id, next[id], r, task.Time(2+3*id))
+		last[id], next[id] = r+1, next[id]+1
+	}
+	return js
+}
+
+// TestPendingQueueRemoveProperty removes random keys, some of them twice,
+// then drains the set through peekEDF: a removal succeeds exactly once, and
+// the drain yields every job not removed, in EDF order.
+func TestPendingQueueRemoveProperty(t *testing.T) {
+	for _, linear := range []bool{false, true} {
+		f := func(in []uint8, picks []uint8) bool {
+			js := quickJobs(in)
+			var p pendingQueue
+			p.reset(linear, 4)
+			for _, j := range js {
+				p.push(j)
+			}
+			removed := map[int]bool{}
+			for _, k := range picks {
+				if len(js) == 0 {
+					break
+				}
+				i := int(k) % len(js)
+				if p.remove(js[i].Key()) == removed[i] {
+					return false // removal succeeded twice or failed while present
+				}
+				removed[i] = true
+			}
+			var prev task.Job
+			count := 0
+			for {
+				j, ok := p.peekEDF()
+				if !ok {
+					break
+				}
+				if count > 0 && !edfBefore(prev, j) || !p.remove(j.Key()) {
+					return false
+				}
+				i := slices.Index(js, j)
+				if i < 0 || removed[i] {
+					return false
+				}
+				prev = j
+				count++
+			}
+			return count == len(js)-len(removed) && p.size() == 0
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("linear=%v: %v", linear, err)
+		}
+	}
+}
+
+// TestPendingQueueMinReleaseExcludingProperty checks minRelease against a
+// scan of the pushed jobs, excluding one of them chosen at random (the
+// release-order root among them) or a key that is not pending.
+func TestPendingQueueMinReleaseExcludingProperty(t *testing.T) {
+	for _, linear := range []bool{false, true} {
+		f := func(in []uint8, pick uint8) bool {
+			js := quickJobs(in)
+			var p pendingQueue
+			p.reset(linear, 4)
+			for _, j := range js {
+				p.push(j)
+			}
+			exclude := task.JobKey{TaskID: int(pick % 4), Index: -1}
+			if len(js) > 0 && pick%8 != 0 {
+				exclude = js[int(pick)%len(js)].Key()
+			}
+			var want task.Time
+			found := false
+			for _, j := range js {
+				if j.Key() != exclude && (!found || j.Release < want) {
+					want, found = j.Release, true
+				}
+			}
+			got, ok := p.minRelease(exclude)
+			return ok == found && (!found || got == want)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Errorf("linear=%v: %v", linear, err)
+		}
 	}
 }
 
