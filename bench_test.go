@@ -286,14 +286,15 @@ func formatTheta(v float64) string {
 	}
 }
 
-// BenchmarkEngineDispatch measures the raw simulator dispatch rate: the
-// default indexed engine against the retained linear-scan reference, on the
+// BenchmarkEngineDispatch measures the raw simulator dispatch rate on the
 // paper's largest case (Rnd13, 163 jobs per hyper-period) and on synthetic
 // stress sets whose pending queue averages n/2 deep. Those rows run
 // EDF-Imprecise, which only ever dispatches the EDF head; the mix row runs
 // plan-paper's seven methods on Rnd13 (EDF-Accurate with DropLate), so the
-// ESR slack queries and the offline+OA commitments are timed too. Run with
-// -benchmem to see the allocation win from the pooled run state.
+// ESR slack queries and the offline+OA commitments are timed too. The
+// pending set is a linear scan, so the stress rows grow with the square of
+// n. Run with -benchmem to see the allocation win from the pooled run
+// state.
 func BenchmarkEngineDispatch(b *testing.B) {
 	type bcase struct {
 		name     string
@@ -311,13 +312,6 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		cases = append(cases, bcase{name: fmt.Sprintf("stress%d", n), set: s, hp: 5, policies: edfImprecise})
 	}
 	cases = append(cases, bcase{name: "mix", set: mustCaseSet(b, "Rnd13"), hp: 10, policies: tableIMethods})
-	engines := []struct {
-		name string
-		kind sim.EngineKind
-	}{
-		{"indexed", sim.EngineIndexed},
-		{"linear", sim.EngineLinearScan},
-	}
 	for _, c := range cases {
 		policies := make([]sim.Policy, len(c.policies))
 		for i, m := range c.policies {
@@ -327,29 +321,26 @@ func BenchmarkEngineDispatch(b *testing.B) {
 			}
 			policies[i] = p
 		}
-		for _, e := range engines {
-			b.Run(c.name+"/"+e.name, func(b *testing.B) {
-				sampler := sim.NewRandomSampler(c.set, 1)
-				var jobs int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					jobs = 0
-					for j, p := range policies {
-						res, err := sim.Run(c.set, p, sim.Config{
-							Hyperperiods: c.hp,
-							Sampler:      sampler,
-							DropLate:     c.policies[j] == "EDF-Accurate",
-							Engine:       e.kind,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						jobs += res.Jobs
+		b.Run(c.name, func(b *testing.B) {
+			sampler := sim.NewRandomSampler(c.set, 1)
+			var jobs int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				jobs = 0
+				for j, p := range policies {
+					res, err := sim.Run(c.set, p, sim.Config{
+						Hyperperiods: c.hp,
+						Sampler:      sampler,
+						DropLate:     c.policies[j] == "EDF-Accurate",
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
+					jobs += res.Jobs
 				}
-				b.ReportMetric(float64(jobs), "jobs/op")
-			})
-		}
+			}
+			b.ReportMetric(float64(jobs), "jobs/op")
+		})
 	}
 }
 

@@ -109,7 +109,7 @@ type TaskSpec struct {
 }
 
 // Options parameterizes a Runtime. The zero value is usable: seed 1,
-// indexed engine, one hyper-period per epoch, online planner, default
+// default engine, one hyper-period per epoch, online planner, default
 // governor.
 type Options struct {
 	Seed              uint64          `json:"seed"`

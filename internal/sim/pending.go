@@ -2,451 +2,97 @@ package sim
 
 import "nprt/internal/task"
 
-// EngineKind selects the dispatch-core implementation of a run.
+// EngineKind names a dispatch core. Both kinds run the same core, the
+// linear pending set below: it is the fastest core measured at the sizes the
+// paper and the benchmark workloads simulate (docs/ALGORITHMS.md §6). The
+// kind is kept because checkpoints, command-line flags and per-engine test
+// variants name it; it selects nothing.
 type EngineKind uint8
 
 const (
-	// EngineIndexed is the production dispatch core. Pending jobs are kept
-	// per task, in one FIFO each. A binary heap over the non-empty tasks,
-	// keyed by each task's head job under the EDF total order, answers
-	// EDFPick with an O(1) peek and sheds DropLate jobs from its top; a
-	// second heap over the same heads, in release order, answers the ESR
-	// idle-slack query NextReleaseTime by reading at most four entries.
-	// Each heap is built the first time a policy needs its order and
-	// maintained from then on. Releasing a job behind an earlier pending
-	// job of its task is O(1) (the task's head does not change);
-	// dispatching or shedding a head is one sift over at most one entry
-	// per task.
+	// EngineIndexed is the default kind.
 	EngineIndexed EngineKind = iota
-	// EngineLinearScan is the pre-heap reference implementation, retained
-	// verbatim: an unordered slice walked on every EDFPick, NextReleaseTime
-	// and removal. It exists so differential tests and the Table I
-	// simulation goldens can prove the indexed engine bit-identical, and so
-	// benchmarks have a baseline; production callers should leave
-	// Config.Engine at the default.
+	// EngineLinearScan is the other kind; it runs the same core.
 	EngineLinearScan
 )
 
-// pendingQueue is the engine's released-but-unexecuted job set, in either
-// the per-task or the linear-scan representation. All buffers, the per-task
-// FIFOs included, keep their capacity across runs when the owning State is
-// pooled.
-//
-// The per-task representation rests on one fact: within a task, job index
-// order is EDF order and release order. Releases of one task are at least a
-// period apart (exactly a period when periodic, a period plus jitter when
-// sporadic) and every deadline is its release plus the period, so both rise
-// strictly with the index. The engine releases each task's jobs in index
-// order, so appending keeps every FIFO sorted in all three orders, and a
-// task's head is its minimum under each. The minimum over task heads is
-// therefore the pending set's minimum.
-//
-// Both heaps over task heads are built the first time a query needs their
-// order (EDFPick or DropLate for the deadline heap, NextReleaseTime for the
-// release heap) and maintained from then on. A policy that dispatches from
-// its own plan (the offline+OA family) asks for neither, and its releases
-// and dispatches touch only its tasks' FIFOs.
+// pendingQueue is the engine's released-but-unexecuted job set: an
+// unordered slice, walked on every EDF pick, release-time query and keyed
+// removal. The simulated sets keep a handful of jobs pending (about four on
+// the paper's largest case), where one pass over a short contiguous slice
+// costs less than maintaining any ordered structure. The slice keeps its
+// capacity across runs when the owning State is pooled.
 type pendingQueue struct {
-	linear bool
-
-	// Linear-scan representation (EngineLinearScan): insertion-ordered.
 	list []task.Job
-
-	// Per-task representation (EngineIndexed).
-	tasks      []taskQueue // by task ID; pending jobs in index order
-	n          int         // pending jobs over all tasks
-	byDeadline headHeap    // non-empty tasks by head, EDF order
-	byRelease  headHeap    // non-empty tasks by head, (release, task ID)
-	scratch    []task.Job  // reused by jobs
 }
 
-// taskQueue is one task's pending jobs: jobs[head:], in index order.
-type taskQueue struct {
-	jobs []task.Job
-	head int
-}
-
-// push appends j. The consumed prefix jobs[:head] is reclaimed when the
-// buffer is full and at least half consumed, so a task that stays
-// backlogged neither grows without bound nor shifts on every release.
-func (q *taskQueue) push(j task.Job) {
-	if len(q.jobs) == cap(q.jobs) && q.head > 0 && 2*q.head >= len(q.jobs) {
-		q.jobs = q.jobs[:copy(q.jobs, q.jobs[q.head:])]
-		q.head = 0
-	}
-	q.jobs = append(q.jobs, j)
-}
-
-// fifoCap is the capacity a task's FIFO starts with. Tasks seldom hold more
-// pending jobs than this, so a fresh queue carves every FIFO from one slab
-// instead of growing each on its own.
-const fifoCap = 4
-
-// reset prepares the queue for a fresh run over ntasks tasks, keeping every
-// buffer's capacity, the per-task FIFOs' included.
-func (p *pendingQueue) reset(linear bool, ntasks int) {
-	p.linear = linear
-	p.list = p.list[:0]
-	if linear {
-		return
-	}
-	p.n = 0
-	if cap(p.tasks) < ntasks {
-		p.tasks = append(p.tasks[:cap(p.tasks)], make([]taskQueue, ntasks-cap(p.tasks))...)
-	}
-	p.tasks = p.tasks[:ntasks]
-	bare := 0
-	for i := range p.tasks {
-		q := &p.tasks[i]
-		q.jobs, q.head = q.jobs[:0], 0
-		if cap(q.jobs) == 0 {
-			bare++
-		}
-	}
-	if bare > 0 {
-		slab := make([]task.Job, bare*fifoCap)
-		for i := range p.tasks {
-			if q := &p.tasks[i]; cap(q.jobs) == 0 {
-				q.jobs, slab = slab[:0:fifoCap], slab[fifoCap:]
-			}
-		}
-	}
-	p.byDeadline.reset(ntasks, false)
-	p.byRelease.reset(ntasks, true)
-}
+// reset empties the queue for a fresh run, keeping capacity.
+func (p *pendingQueue) reset() { p.list = p.list[:0] }
 
 // size returns the number of pending jobs.
-func (p *pendingQueue) size() int {
-	if p.linear {
-		return len(p.list)
-	}
-	return p.n
-}
+func (p *pendingQueue) size() int { return len(p.list) }
 
-// push adds a newly released job. Jobs of one task must arrive in index
-// order, as the engine releases them.
-func (p *pendingQueue) push(j task.Job) {
-	if p.linear {
-		p.list = append(p.list, j)
-		return
-	}
-	q := &p.tasks[j.TaskID]
-	wasEmpty := q.head == len(q.jobs)
-	q.push(j)
-	p.n++
-	if wasEmpty {
-		if p.byDeadline.live {
-			p.byDeadline.insert(&j)
-		}
-		if p.byRelease.live {
-			p.byRelease.insert(&j)
-		}
-	}
-}
+// push adds a newly released job.
+func (p *pendingQueue) push(j task.Job) { p.list = append(p.list, j) }
 
 // remove deletes the job with the given key; reports whether it was present.
 func (p *pendingQueue) remove(key task.JobKey) bool {
-	if p.linear {
-		for i := range p.list {
-			if p.list[i].Key() == key {
-				last := len(p.list) - 1
-				p.list[i] = p.list[last]
-				p.list = p.list[:last]
-				return true
-			}
-		}
-		return false
-	}
-	if key.TaskID < 0 || key.TaskID >= len(p.tasks) {
-		return false
-	}
-	q := &p.tasks[key.TaskID]
-	pend := q.jobs[q.head:]
-	if len(pend) == 0 || key.Index < pend[0].Index {
-		return false
-	}
-	if pend[0].Index == key.Index {
-		p.popHead(q)
-		return true
-	}
-	// A job behind the head (an offline commitment out of EDF order): the
-	// head, and so both heaps, stay as they are.
-	for i := 1; i < len(pend) && pend[i].Index <= key.Index; i++ {
-		if pend[i].Index == key.Index {
-			copy(pend[i:], pend[i+1:])
-			q.jobs = q.jobs[:len(q.jobs)-1]
-			p.n--
+	for i := range p.list {
+		if p.list[i].Key() == key {
+			last := len(p.list) - 1
+			p.list[i] = p.list[last]
+			p.list = p.list[:last]
 			return true
 		}
 	}
 	return false
 }
 
-// popHead removes the head job of q, which must have one, and moves the
-// task's heap entries to its next job or out of the heaps.
-func (p *pendingQueue) popHead(q *taskQueue) {
-	t := q.jobs[q.head].TaskID
-	q.head++
-	p.n--
-	if q.head == len(q.jobs) {
-		q.jobs = q.jobs[:0]
-		q.head = 0
-		if p.byDeadline.live {
-			p.byDeadline.remove(t)
-		}
-		if p.byRelease.live {
-			p.byRelease.remove(t)
-		}
-		return
-	}
-	next := &q.jobs[q.head]
-	if p.byDeadline.live {
-		p.byDeadline.advance(next)
-	}
-	if p.byRelease.live {
-		p.byRelease.advance(next)
-	}
-}
-
-// track makes h live, building it from the current task heads.
-func (p *pendingQueue) track(h *headHeap) {
-	if cap(h.items) < len(p.tasks) {
-		h.items = make([]task.Job, 0, len(p.tasks)) // a heap holds one head per task at most
-	}
-	h.items = h.items[:0]
-	for i := range p.tasks {
-		if q := &p.tasks[i]; q.head < len(q.jobs) {
-			h.items = append(h.items, q.jobs[q.head])
-		}
-	}
-	h.heapify()
-}
-
 // peekEDF returns the pending job with the earliest deadline under the EDF
-// total order (deadline, release, task ID, index).
+// total order (deadline, release, task ID, index). The order is total, so
+// the answer does not depend on the slice's order.
 func (p *pendingQueue) peekEDF() (task.Job, bool) {
-	if p.linear {
-		if len(p.list) == 0 {
-			return task.Job{}, false
-		}
-		best := p.list[0]
-		for _, j := range p.list[1:] {
-			if edfBefore(j, best) {
-				best = j
-			}
-		}
-		return best, true
-	}
-	if !p.byDeadline.live {
-		p.track(&p.byDeadline)
-	}
-	if len(p.byDeadline.items) == 0 {
+	if len(p.list) == 0 {
 		return task.Job{}, false
 	}
-	return p.byDeadline.items[0], true
+	best := p.list[0]
+	for _, j := range p.list[1:] {
+		if edfBefore(j, best) {
+			best = j
+		}
+	}
+	return best, true
 }
 
 // minRelease returns the earliest release time among pending jobs other
 // than exclude.
 func (p *pendingQueue) minRelease(exclude task.JobKey) (task.Time, bool) {
-	if p.linear {
-		var best task.Time
-		found := false
-		for _, j := range p.list {
-			if j.Key() == exclude {
-				continue
-			}
-			if !found || j.Release < best {
-				best, found = j.Release, true
-			}
-		}
-		return best, found
-	}
-	if !p.byRelease.live {
-		p.track(&p.byRelease)
-	}
-	h := p.byRelease.items
-	if len(h) == 0 {
-		return 0, false
-	}
-	if h[0].Key() != exclude {
-		return h[0].Release, true
-	}
-	// The root is excluded: the answer is the root task's second job or the
-	// head of another task, whose minimum is one of the root's children.
 	var best task.Time
 	found := false
-	if q := &p.tasks[h[0].TaskID]; q.head+1 < len(q.jobs) {
-		best, found = q.jobs[q.head+1].Release, true
-	}
-	for i := 1; i <= 2 && i < len(h); i++ {
-		if !found || h[i].Release < best {
-			best, found = h[i].Release, true
+	for _, j := range p.list {
+		if j.Key() == exclude {
+			continue
+		}
+		if !found || j.Release < best {
+			best, found = j.Release, true
 		}
 	}
 	return best, found
 }
 
 // jobs exposes the pending set as an unordered read-only slice.
-func (p *pendingQueue) jobs() []task.Job {
-	if p.linear {
-		return p.list
-	}
-	p.scratch = p.scratch[:0]
-	for i := range p.tasks {
-		q := &p.tasks[i]
-		p.scratch = append(p.scratch, q.jobs[q.head:]...)
-	}
-	return p.scratch
-}
+func (p *pendingQueue) jobs() []task.Job { return p.list }
 
 // dropLate removes every pending job whose deadline is at or before now,
-// calling drop for each. In the per-task representation late jobs are a
-// prefix of their task's FIFO and surface at the top of the deadline heap,
-// so shedding costs one heap step per dropped job rather than a rescan.
+// calling drop for each.
 func (p *pendingQueue) dropLate(now task.Time, drop func(task.Job)) {
-	if p.linear {
-		kept := p.list[:0]
-		for _, j := range p.list {
-			if j.Deadline <= now {
-				drop(j)
-				continue
-			}
-			kept = append(kept, j)
+	kept := p.list[:0]
+	for _, j := range p.list {
+		if j.Deadline <= now {
+			drop(j)
+			continue
 		}
-		p.list = kept
-		return
+		kept = append(kept, j)
 	}
-	if !p.byDeadline.live {
-		p.track(&p.byDeadline)
-	}
-	for len(p.byDeadline.items) > 0 && p.byDeadline.items[0].Deadline <= now {
-		j := p.byDeadline.items[0]
-		p.popHead(&p.tasks[j.TaskID])
-		drop(j)
-	}
-}
-
-// headHeap is a binary min-heap holding at most one entry per task: a copy
-// of the task's pending head, with each task's heap position kept in pos.
-// The deadline heap orders heads by (deadline, release, task ID), which over
-// heads of distinct tasks is the EDF total order; the release heap orders
-// them by (release, task ID). Both are total, so the minimum is unique
-// whatever the insertion history. Callers update a heap only while it is
-// live.
-type headHeap struct {
-	items     []task.Job
-	pos       []int32 // by task ID; valid only while the task is in the heap
-	live      bool
-	byRelease bool
-}
-
-// before orders two heads of distinct tasks.
-func (h *headHeap) before(a, b *task.Job) bool {
-	if !h.byRelease {
-		return edfBefore(*a, *b)
-	}
-	if a.Release != b.Release {
-		return a.Release < b.Release
-	}
-	return a.TaskID < b.TaskID
-}
-
-// reset empties the heap for a run over ntasks tasks, keeping capacity.
-func (h *headHeap) reset(ntasks int, byRelease bool) {
-	h.items = h.items[:0]
-	if cap(h.pos) < ntasks {
-		h.pos = make([]int32, ntasks)
-	}
-	h.pos = h.pos[:ntasks]
-	h.live = false
-	h.byRelease = byRelease
-}
-
-// heapify orders items, which hold one head per task, and makes h live.
-func (h *headHeap) heapify() {
-	for i := range h.items {
-		h.pos[h.items[i].TaskID] = int32(i)
-	}
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	h.live = true
-}
-
-// insert adds the head of a task that is not in the heap.
-func (h *headHeap) insert(j *task.Job) {
-	h.items = append(h.items, *j)
-	if i := len(h.items) - 1; !h.up(i) {
-		h.pos[j.TaskID] = int32(i)
-	}
-}
-
-// advance replaces the entry of j's task with j, the task's next job. The
-// next job comes after the old head in both orders, so it only sifts down.
-func (h *headHeap) advance(j *task.Job) {
-	i := int(h.pos[j.TaskID])
-	h.items[i] = *j
-	h.down(i)
-}
-
-// remove deletes task t's entry.
-func (h *headHeap) remove(t int) {
-	i := int(h.pos[t])
-	last := len(h.items) - 1
-	moved := h.items[last]
-	h.items = h.items[:last]
-	if i == last {
-		return
-	}
-	h.items[i] = moved
-	if i == 0 || !h.up(i) {
-		h.down(i)
-	}
-}
-
-// up sifts position i toward the root, hole-style, and reports whether it
-// moved; when it did, every position it touched is recorded in pos.
-func (h *headHeap) up(i int) bool {
-	e := h.items[i]
-	start := i
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before(&e, &h.items[parent]) {
-			break
-		}
-		h.items[i] = h.items[parent]
-		h.pos[h.items[i].TaskID] = int32(i)
-		i = parent
-	}
-	if i == start {
-		return false
-	}
-	h.items[i] = e
-	h.pos[e.TaskID] = int32(i)
-	return true
-}
-
-// down sifts position i toward the leaves, hole-style, and records every
-// position it touched, i's final one included, in pos.
-func (h *headHeap) down(i int) {
-	e := h.items[i]
-	n := len(h.items)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h.before(&h.items[r], &h.items[c]) {
-			c = r
-		}
-		if !h.before(&h.items[c], &e) {
-			break
-		}
-		h.items[i] = h.items[c]
-		h.pos[h.items[i].TaskID] = int32(i)
-		i = c
-	}
-	h.items[i] = e
-	h.pos[e.TaskID] = int32(i)
+	p.list = kept
 }

@@ -16,14 +16,6 @@ func jobOf(id, index int, r, p task.Time) task.Job {
 	return task.Job{TaskID: id, Index: index, Release: r, Deadline: r + p}
 }
 
-// bothQueues returns a per-task and a linear-scan pending set over n tasks.
-func bothQueues(n int) (*pendingQueue, *pendingQueue) {
-	var idx, lin pendingQueue
-	idx.reset(false, n)
-	lin.reset(true, n)
-	return &idx, &lin
-}
-
 func sortedJobs(js []task.Job) []task.Job {
 	out := slices.Clone(js)
 	slices.SortFunc(out, func(a, b task.Job) int {
@@ -35,42 +27,47 @@ func sortedJobs(js []task.Job) []task.Job {
 	return out
 }
 
-func TestPendingQueueEmpty(t *testing.T) {
-	for _, linear := range []bool{false, true} {
-		var p pendingQueue
-		p.reset(linear, 3)
-		if p.size() != 0 || len(p.jobs()) != 0 {
-			t.Errorf("linear=%v: fresh queue not empty", linear)
-		}
-		if _, ok := p.peekEDF(); ok {
-			t.Errorf("linear=%v: peekEDF on empty queue returned ok", linear)
-		}
-		if _, ok := p.minRelease(task.JobKey{TaskID: 0, Index: 0}); ok {
-			t.Errorf("linear=%v: minRelease on empty queue returned ok", linear)
-		}
-		for _, k := range []task.JobKey{{TaskID: 0, Index: 0}, {TaskID: -1, Index: 0}, {TaskID: 3, Index: 0}} {
-			if p.remove(k) {
-				t.Errorf("linear=%v: remove(%v) on empty queue reported true", linear, k)
-			}
-		}
-		p.dropLate(100, func(j task.Job) { t.Errorf("linear=%v: dropLate dropped %v from an empty queue", linear, j) })
+// values returns the jobs of m in unspecified order.
+func values(m map[task.JobKey]task.Job) []task.Job {
+	out := make([]task.Job, 0, len(m))
+	for _, j := range m {
+		out = append(out, j)
 	}
+	return out
+}
+
+func TestPendingQueueEmpty(t *testing.T) {
+	var p pendingQueue
+	p.reset()
+	if p.size() != 0 || len(p.jobs()) != 0 {
+		t.Errorf("fresh queue not empty")
+	}
+	if _, ok := p.peekEDF(); ok {
+		t.Errorf("peekEDF on empty queue returned ok")
+	}
+	if _, ok := p.minRelease(task.JobKey{TaskID: 0, Index: 0}); ok {
+		t.Errorf("minRelease on empty queue returned ok")
+	}
+	for _, k := range []task.JobKey{{TaskID: 0, Index: 0}, {TaskID: -1, Index: 0}, {TaskID: 3, Index: 0}} {
+		if p.remove(k) {
+			t.Errorf("remove(%v) on empty queue reported true", k)
+		}
+	}
+	p.dropLate(100, func(j task.Job) { t.Errorf("dropLate dropped %v from an empty queue", j) })
 }
 
 // TestPendingQueueEDFOrder pushes jobs of three tasks in release order and
-// drains the set through peekEDF: both representations yield the EDF total
-// order, ties on deadline going to the earlier release, then the smaller
-// task ID.
+// drains the set through peekEDF: it yields the EDF total order, ties on
+// deadline going to the earlier release, then the smaller task ID.
 func TestPendingQueueEDFOrder(t *testing.T) {
 	periods := []task.Time{4, 6, 12}
-	idx, lin := bothQueues(3)
+	var p pendingQueue
 	var pushed []task.Job
 	for r := task.Time(0); r < 12; r++ {
-		for id, p := range periods {
-			if r%p == 0 {
-				j := jobOf(id, int(r/p), r, p)
-				idx.push(j)
-				lin.push(j)
+		for id, per := range periods {
+			if r%per == 0 {
+				j := jobOf(id, int(r/per), r, per)
+				p.push(j)
 				pushed = append(pushed, j)
 			}
 		}
@@ -82,35 +79,34 @@ func TestPendingQueueEDFOrder(t *testing.T) {
 		}
 		return 1
 	})
-	for _, p := range []*pendingQueue{idx, lin} {
-		var got []task.Job
-		for {
-			j, ok := p.peekEDF()
-			if !ok {
-				break
-			}
-			if !p.remove(j.Key()) {
-				t.Fatalf("linear=%v: peeked %v but could not remove it", p.linear, j)
-			}
-			got = append(got, j)
+	var got []task.Job
+	for {
+		j, ok := p.peekEDF()
+		if !ok {
+			break
 		}
-		if !slices.Equal(got, want) {
-			t.Errorf("linear=%v: drained %v, want %v", p.linear, got, want)
+		if !p.remove(j.Key()) {
+			t.Fatalf("peeked %v but could not remove it", j)
 		}
+		got = append(got, j)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("drained %v, want %v", got, want)
 	}
 }
 
-// TestPendingQueueRemoveByKey removes a task's head, a job behind the head
-// (an offline commitment out of EDF order) and keys that are not pending.
+// TestPendingQueueRemoveByKey removes a task's earliest pending job, a job
+// behind it (an offline commitment out of EDF order) and keys that are not
+// pending.
 func TestPendingQueueRemoveByKey(t *testing.T) {
-	idx, lin := bothQueues(2)
-	for k := 0; k < 4; k++ {
-		j := jobOf(0, k, task.Time(5*k), 5)
-		idx.push(j)
-		lin.push(j)
+	var p pendingQueue
+	live := map[task.JobKey]task.Job{}
+	for _, j := range []task.Job{
+		jobOf(0, 0, 0, 5), jobOf(1, 0, 0, 30), jobOf(0, 1, 5, 5), jobOf(0, 2, 10, 5), jobOf(0, 3, 15, 5),
+	} {
+		p.push(j)
+		live[j.Key()] = j
 	}
-	idx.push(jobOf(1, 0, 0, 30))
-	lin.push(jobOf(1, 0, 0, 30))
 	steps := []struct {
 		key  task.JobKey
 		want bool
@@ -124,62 +120,56 @@ func TestPendingQueueRemoveByKey(t *testing.T) {
 		{task.JobKey{TaskID: 1, Index: 0}, true},  // a one-job task
 	}
 	for _, s := range steps {
-		for _, p := range []*pendingQueue{idx, lin} {
-			if got := p.remove(s.key); got != s.want {
-				t.Fatalf("linear=%v: remove(%v) = %v, want %v", p.linear, s.key, got, s.want)
-			}
+		if got := p.remove(s.key); got != s.want {
+			t.Fatalf("remove(%v) = %v, want %v", s.key, got, s.want)
 		}
-		if a, b := sortedJobs(idx.jobs()), sortedJobs(lin.jobs()); !slices.Equal(a, b) {
-			t.Fatalf("after remove(%v): per-task %v, linear %v", s.key, a, b)
+		delete(live, s.key)
+		if got, want := sortedJobs(p.jobs()), sortedJobs(values(live)); !slices.Equal(got, want) {
+			t.Fatalf("after remove(%v): pending %v, want %v", s.key, got, want)
 		}
 	}
-	if j, _ := idx.peekEDF(); j.Key() != (task.JobKey{TaskID: 0, Index: 1}) || idx.size() != 2 {
-		t.Fatalf("head %v, size %d; want τ(0,1) and 2 jobs", j, idx.size())
+	if j, _ := p.peekEDF(); j.Key() != (task.JobKey{TaskID: 0, Index: 1}) || p.size() != 2 {
+		t.Fatalf("head %v, size %d; want τ(0,1) and 2 jobs", j, p.size())
 	}
 }
 
 // TestPendingQueueMinReleaseExcluding checks the ESR query when the job it
-// excludes is the release-order root: the answer then comes from the root
-// task's second job or from another task's head.
+// excludes is the earliest released: the answer then comes from that job's
+// task or from another task.
 func TestPendingQueueMinReleaseExcluding(t *testing.T) {
-	idx, lin := bothQueues(3)
+	var p pendingQueue
 	for _, j := range []task.Job{
 		jobOf(0, 0, 0, 4), jobOf(2, 0, 1, 10), jobOf(0, 1, 4, 4), jobOf(1, 0, 6, 20),
 	} {
-		idx.push(j)
-		lin.push(j)
+		p.push(j)
 	}
 	cases := []struct {
 		exclude task.JobKey
 		want    task.Time
 	}{
-		{task.JobKey{TaskID: 0, Index: 0}, 1}, // root excluded: a child, τ(2,0)
-		{task.JobKey{TaskID: 2, Index: 0}, 0}, // not the root
+		{task.JobKey{TaskID: 0, Index: 0}, 1}, // earliest excluded: τ(2,0)
+		{task.JobKey{TaskID: 2, Index: 0}, 0}, // not the earliest
 		{task.JobKey{TaskID: 1, Index: 7}, 0}, // not pending
 	}
 	for _, c := range cases {
-		for _, p := range []*pendingQueue{idx, lin} {
-			if got, ok := p.minRelease(c.exclude); !ok || got != c.want {
-				t.Errorf("linear=%v: minRelease(%v) = %d,%v, want %d", p.linear, c.exclude, got, ok, c.want)
-			}
+		if got, ok := p.minRelease(c.exclude); !ok || got != c.want {
+			t.Errorf("minRelease(%v) = %d,%v, want %d", c.exclude, got, ok, c.want)
 		}
 	}
-	// With τ(2,0) gone the root task's second job, τ(0,1) at 4, is next.
-	for _, p := range []*pendingQueue{idx, lin} {
-		p.remove(task.JobKey{TaskID: 2, Index: 0})
-		if got, _ := p.minRelease(task.JobKey{TaskID: 0, Index: 0}); got != 4 {
-			t.Errorf("linear=%v: minRelease excluding the root = %d, want 4", p.linear, got)
-		}
+	// With τ(2,0) gone the same task's second job, τ(0,1) at 4, is next.
+	p.remove(task.JobKey{TaskID: 2, Index: 0})
+	if got, _ := p.minRelease(task.JobKey{TaskID: 0, Index: 0}); got != 4 {
+		t.Errorf("minRelease excluding the earliest = %d, want 4", got)
 	}
 }
 
 // TestPendingQueueResetKeepsCapacity reuses one queue across runs, as the
-// pooled State does: after the first run has grown the per-task FIFOs and
-// both heaps, later runs of the same shape allocate nothing.
+// pooled State does: after the first run has grown the slice, later runs of
+// the same shape allocate nothing.
 func TestPendingQueueResetKeepsCapacity(t *testing.T) {
 	var p pendingQueue
 	run := func() {
-		p.reset(false, 4)
+		p.reset()
 		for k := 0; k < 8; k++ {
 			for id := 0; id < 4; id++ {
 				p.push(jobOf(id, k, task.Time(10*k), 10))
@@ -223,106 +213,101 @@ func quickJobs(in []uint8) []task.Job {
 // then drains the set through peekEDF: a removal succeeds exactly once, and
 // the drain yields every job not removed, in EDF order.
 func TestPendingQueueRemoveProperty(t *testing.T) {
-	for _, linear := range []bool{false, true} {
-		f := func(in []uint8, picks []uint8) bool {
-			js := quickJobs(in)
-			var p pendingQueue
-			p.reset(linear, 4)
-			for _, j := range js {
-				p.push(j)
-			}
-			removed := map[int]bool{}
-			for _, k := range picks {
-				if len(js) == 0 {
-					break
-				}
-				i := int(k) % len(js)
-				if p.remove(js[i].Key()) == removed[i] {
-					return false // removal succeeded twice or failed while present
-				}
-				removed[i] = true
-			}
-			var prev task.Job
-			count := 0
-			for {
-				j, ok := p.peekEDF()
-				if !ok {
-					break
-				}
-				if count > 0 && !edfBefore(prev, j) || !p.remove(j.Key()) {
-					return false
-				}
-				i := slices.Index(js, j)
-				if i < 0 || removed[i] {
-					return false
-				}
-				prev = j
-				count++
-			}
-			return count == len(js)-len(removed) && p.size() == 0
+	f := func(in []uint8, picks []uint8) bool {
+		js := quickJobs(in)
+		var p pendingQueue
+		for _, j := range js {
+			p.push(j)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Errorf("linear=%v: %v", linear, err)
+		removed := map[int]bool{}
+		for _, k := range picks {
+			if len(js) == 0 {
+				break
+			}
+			i := int(k) % len(js)
+			if p.remove(js[i].Key()) == removed[i] {
+				return false // removal succeeded twice or failed while present
+			}
+			removed[i] = true
 		}
+		var prev task.Job
+		count := 0
+		for {
+			j, ok := p.peekEDF()
+			if !ok {
+				break
+			}
+			if count > 0 && !edfBefore(prev, j) || !p.remove(j.Key()) {
+				return false
+			}
+			i := slices.Index(js, j)
+			if i < 0 || removed[i] {
+				return false
+			}
+			prev = j
+			count++
+		}
+		return count == len(js)-len(removed) && p.size() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestPendingQueueMinReleaseExcludingProperty checks minRelease against a
-// scan of the pushed jobs, excluding one of them chosen at random (the
-// release-order root among them) or a key that is not pending.
+// scan of the pushed jobs, excluding one of them chosen at random or a key
+// that is not pending.
 func TestPendingQueueMinReleaseExcludingProperty(t *testing.T) {
-	for _, linear := range []bool{false, true} {
-		f := func(in []uint8, pick uint8) bool {
-			js := quickJobs(in)
-			var p pendingQueue
-			p.reset(linear, 4)
-			for _, j := range js {
-				p.push(j)
-			}
-			exclude := task.JobKey{TaskID: int(pick % 4), Index: -1}
-			if len(js) > 0 && pick%8 != 0 {
-				exclude = js[int(pick)%len(js)].Key()
-			}
-			var want task.Time
-			found := false
-			for _, j := range js {
-				if j.Key() != exclude && (!found || j.Release < want) {
-					want, found = j.Release, true
-				}
-			}
-			got, ok := p.minRelease(exclude)
-			return ok == found && (!found || got == want)
+	f := func(in []uint8, pick uint8) bool {
+		js := quickJobs(in)
+		var p pendingQueue
+		for _, j := range js {
+			p.push(j)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Errorf("linear=%v: %v", linear, err)
+		exclude := task.JobKey{TaskID: int(pick % 4), Index: -1}
+		if len(js) > 0 && pick%8 != 0 {
+			exclude = js[int(pick)%len(js)].Key()
 		}
+		var want task.Time
+		found := false
+		for _, j := range js {
+			if j.Key() != exclude && (!found || j.Release < want) {
+				want, found = j.Release, true
+			}
+		}
+		got, ok := p.minRelease(exclude)
+		return ok == found && (!found || got == want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 
-// pendingScript drives a per-task pending set and the linear-scan
-// reference through the same operations, the way the engine does: time
-// only moves forward, every job released by then is pushed in (release,
-// task ID) order, and each job's deadline is its release plus the period.
+// pendingScript drives a pending set through the operations the engine
+// performs and checks every answer against a model, a map from job key to
+// job: time only moves forward, every job released by then is pushed in
+// (release, task ID) order, and each job's deadline is its release plus the
+// period.
 type pendingScript struct {
-	t        testing.TB
-	idx, lin *pendingQueue
-	periods  []task.Time
-	jitter   bool
-	now      task.Time
-	next     []task.Job // per task: the job it releases next
-	draw     func(n int) int
-	log      []string
+	t       testing.TB
+	p       *pendingQueue
+	model   map[task.JobKey]task.Job
+	periods []task.Time
+	jitter  bool
+	now     task.Time
+	next    []task.Job // per task: the job it releases next
+	draw    func(n int) int
+	log     []string
 }
 
 func newPendingScript(t testing.TB, draw func(n int) int, jitter bool) *pendingScript {
-	s := &pendingScript{t: t, draw: draw, jitter: jitter}
-	s.idx, s.lin = bothQueues(0)
+	s := &pendingScript{t: t, p: new(pendingQueue), draw: draw, jitter: jitter}
 	s.restart()
 	return s
 }
 
-// restart begins a new run over a fresh random task set, reusing both
-// queues as a pooled State does.
+// restart begins a new run over a fresh random task set, reusing the queue
+// as a pooled State does.
 func (s *pendingScript) restart() {
 	n := 1 + s.draw(8)
 	s.periods = make([]task.Time, n)
@@ -332,8 +317,8 @@ func (s *pendingScript) restart() {
 		s.next[i] = jobOf(i, 0, task.Time(s.draw(int(s.periods[i]))), s.periods[i])
 	}
 	s.now = 0
-	s.idx.reset(false, n)
-	s.lin.reset(true, n)
+	s.p.reset()
+	s.model = map[task.JobKey]task.Job{}
 	s.logf("reset %d tasks, periods %v, jitter %v", n, s.periods, s.jitter)
 	s.advance(0)
 }
@@ -365,8 +350,8 @@ func (s *pendingScript) advance(dt task.Time) {
 			return
 		}
 		j := s.next[first]
-		s.idx.push(j)
-		s.lin.push(j)
+		s.p.push(j)
+		s.model[j.Key()] = j
 		r := j.Release + s.periods[first]
 		if s.jitter {
 			r += task.Time(s.draw(int(s.periods[first]) + 1))
@@ -375,44 +360,52 @@ func (s *pendingScript) advance(dt task.Time) {
 	}
 }
 
+// modelJobs returns the model's pending jobs sorted by task and index.
+func (s *pendingScript) modelJobs() []task.Job {
+	return sortedJobs(values(s.model))
+}
+
 // pick returns a pending job chosen by the script, or false when none is.
 func (s *pendingScript) pick() (task.Job, bool) {
-	js := sortedJobs(s.lin.jobs())
+	js := s.modelJobs()
 	if len(js) == 0 {
 		return task.Job{}, false
 	}
 	return js[s.draw(len(js))], true
 }
 
-// releaseRoot returns the pending job first in (release, task ID) order.
-func (s *pendingScript) releaseRoot() (task.Job, bool) {
-	js := s.lin.jobs()
-	if len(js) == 0 {
-		return task.Job{}, false
-	}
-	root := js[0]
-	for _, j := range js[1:] {
-		if j.Release < root.Release || j.Release == root.Release && j.TaskID < root.TaskID {
-			root = j
+// earliest returns the pending job first in (release, task ID) order.
+func (s *pendingScript) earliest() (task.Job, bool) {
+	var first task.Job
+	found := false
+	for _, j := range s.model {
+		if !found || j.Release < first.Release || j.Release == first.Release && j.TaskID < first.TaskID {
+			first, found = j, true
 		}
 	}
-	return root, true
+	return first, found
 }
 
 func (s *pendingScript) remove(k task.JobKey) {
 	s.logf("remove %v", k)
-	a, b := s.idx.remove(k), s.lin.remove(k)
-	if a != b {
-		s.fail("remove(%v): per-task %v, linear %v", k, a, b)
+	_, want := s.model[k]
+	if got := s.p.remove(k); got != want {
+		s.fail("remove(%v) = %v, want %v", k, got, want)
 	}
+	delete(s.model, k)
 }
 
 func (s *pendingScript) minRelease(k task.JobKey) {
 	s.logf("minRelease excluding %v", k)
-	ra, oka := s.idx.minRelease(k)
-	rb, okb := s.lin.minRelease(k)
-	if ra != rb || oka != okb {
-		s.fail("minRelease(%v): per-task %d,%v, linear %d,%v", k, ra, oka, rb, okb)
+	var want task.Time
+	found := false
+	for key, j := range s.model {
+		if key != k && (!found || j.Release < want) {
+			want, found = j.Release, true
+		}
+	}
+	if got, ok := s.p.minRelease(k); got != want || ok != found {
+		s.fail("minRelease(%v) = %d,%v, want %d,%v", k, got, ok, want, found)
 	}
 }
 
@@ -423,17 +416,16 @@ func (s *pendingScript) step() {
 		dt := task.Time(s.draw(12))
 		s.logf("advance %d", dt)
 		s.advance(dt)
-	case 3: // remove a task's head (what EDF dispatch does)
+	case 3: // remove a task's earliest pending job (what EDF dispatch does)
 		if j, ok := s.pick(); ok {
-			js := s.lin.jobs()
-			for _, o := range js {
+			for _, o := range s.model {
 				if o.TaskID == j.TaskID && o.Index < j.Index {
 					j = o
 				}
 			}
 			s.remove(j.Key())
 		}
-	case 4: // remove any pending job, head or not (an OA commitment)
+	case 4: // remove any pending job (an OA commitment)
 		if j, ok := s.pick(); ok {
 			s.remove(j.Key())
 		}
@@ -450,26 +442,31 @@ func (s *pendingScript) step() {
 		s.remove(keys[s.draw(len(keys))])
 	case 6:
 		s.logf("dropLate %d", s.now)
-		var da, db []task.Job
-		s.idx.dropLate(s.now, func(j task.Job) { da = append(da, j) })
-		s.lin.dropLate(s.now, func(j task.Job) { db = append(db, j) })
-		if a, b := sortedJobs(da), sortedJobs(db); !slices.Equal(a, b) {
-			s.fail("dropLate(%d) dropped per-task %v, linear %v", s.now, a, b)
-		}
-		for i := 1; i < len(da); i++ {
-			if !edfBefore(da[i-1], da[i]) {
-				s.fail("dropLate(%d) dropped %v out of EDF order", s.now, da)
+		var got, want []task.Job
+		for k, j := range s.model {
+			if j.Deadline <= s.now {
+				want = append(want, j)
+				delete(s.model, k)
 			}
+		}
+		s.p.dropLate(s.now, func(j task.Job) { got = append(got, j) })
+		if a, b := sortedJobs(got), sortedJobs(want); !slices.Equal(a, b) {
+			s.fail("dropLate(%d) dropped %v, want %v", s.now, a, b)
 		}
 	case 7:
 		s.logf("peekEDF")
-		a, oka := s.idx.peekEDF()
-		b, okb := s.lin.peekEDF()
-		if a != b || oka != okb {
-			s.fail("peekEDF: per-task %v,%v, linear %v,%v", a, oka, b, okb)
+		var want task.Job
+		found := false
+		for _, j := range s.model {
+			if !found || edfBefore(j, want) {
+				want, found = j, true
+			}
+		}
+		if got, ok := s.p.peekEDF(); got != want || ok != found {
+			s.fail("peekEDF = %v,%v, want %v,%v", got, ok, want, found)
 		}
 	case 8:
-		if j, ok := s.releaseRoot(); ok {
+		if j, ok := s.earliest(); ok {
 			s.minRelease(j.Key())
 		}
 	case 9:
@@ -484,19 +481,19 @@ func (s *pendingScript) step() {
 			break
 		}
 		s.logf("jobs")
-		if a, b := sortedJobs(s.idx.jobs()), sortedJobs(s.lin.jobs()); !slices.Equal(a, b) {
-			s.fail("jobs: per-task %v, linear %v", a, b)
+		if got, want := sortedJobs(s.p.jobs()), s.modelJobs(); !slices.Equal(got, want) {
+			s.fail("jobs = %v, want %v", got, want)
 		}
 	}
-	if a, b := s.idx.size(), s.lin.size(); a != b {
-		s.fail("size: per-task %d, linear %d", a, b)
+	if got, want := s.p.size(), len(s.model); got != want {
+		s.fail("size = %d, want %d", got, want)
 	}
 }
 
-// TestPendingQueueMatchesLinear runs seeded random scripts under periodic
-// and jittered release patterns and checks every answer of the per-task
-// pending set against the linear-scan reference.
-func TestPendingQueueMatchesLinear(t *testing.T) {
+// TestPendingQueueMatchesModel runs seeded random scripts under periodic
+// and jittered release patterns and checks every answer of the pending set
+// against the model.
+func TestPendingQueueMatchesModel(t *testing.T) {
 	for _, jitter := range []bool{false, true} {
 		for seed := int64(1); seed <= 200; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -508,7 +505,7 @@ func TestPendingQueueMatchesLinear(t *testing.T) {
 	}
 }
 
-// FuzzPendingQueue is TestPendingQueueMatchesLinear driven by fuzzer bytes:
+// FuzzPendingQueue is TestPendingQueueMatchesModel driven by fuzzer bytes:
 // the first byte picks the release pattern, the rest every choice of the
 // script.
 func FuzzPendingQueue(f *testing.F) {

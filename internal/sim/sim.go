@@ -178,11 +178,9 @@ type Config struct {
 	// periodic release times (the offline+OA family) are rejected under
 	// jitter.
 	Jitter JitterSampler
-	// Engine selects the dispatch-core implementation. EngineIndexed (the
-	// zero value) is the production core, per-task pending queues under a
-	// heap of task heads (O(log tasks) per dispatch); EngineLinearScan is the
-	// retained reference used by differential tests and benchmark baselines.
-	// Both produce bit-identical Results.
+	// Engine names the dispatch core. Both kinds run the same linear
+	// pending set (see EngineKind); the field is kept for the checkpoints
+	// and flags that record it.
 	Engine EngineKind
 	// Faults, when non-nil, injects model violations: WCET overruns,
 	// mid-execution aborts and dropped releases (see FaultPlan). With
@@ -278,10 +276,10 @@ type State struct {
 	degraded []bool         // per task: forced-imprecise under DowngradeOnOverrun
 }
 
-// statePool recycles run state — the per-task pending queues and their
-// heaps, the release event queue and the per-task index slices — across the
-// thousands of Run calls an experiment sweep makes, so a warm sweep
-// allocates per run only what escapes into the Result.
+// statePool recycles run state — the pending set, the release event queue
+// and the per-task index slices — across the thousands of Run calls an
+// experiment sweep makes, so a warm sweep allocates per run only what
+// escapes into the Result.
 var statePool = sync.Pool{New: func() any { return new(State) }}
 
 // reset prepares a (possibly recycled) State for a fresh run.
@@ -290,7 +288,7 @@ func (st *State) reset(s *task.Set, cfg Config) {
 	st.now = 0
 	st.horizon = s.MaxRelease() + task.Time(cfg.Hyperperiods)*s.Hyperperiod()
 	st.jitter = cfg.Jitter
-	st.pend.reset(cfg.Engine == EngineLinearScan, s.Len())
+	st.pend.reset()
 	if st.releases == nil {
 		st.releases = pq.New(releaseFirst)
 	} else {
@@ -347,8 +345,7 @@ func (st *State) Horizon() task.Time { return st.horizon }
 func (st *State) Pending() []task.Job { return st.pend.jobs() }
 
 // EDFPick returns the pending job with the earliest deadline, breaking ties
-// by earlier release then smaller task ID (deterministic EDF). With the
-// indexed engine this is an O(1) heap peek.
+// by earlier release then smaller task ID (deterministic EDF).
 func (st *State) EDFPick() (task.Job, bool) {
 	return st.pend.peekEDF()
 }
@@ -369,9 +366,6 @@ func edfBefore(a, b task.Job) bool {
 // NextReleaseTime returns the earliest release time among unreleased future
 // jobs and pending jobs other than exclude; ok is false when no such job
 // exists within the horizon. This is the r_next of the ESR idle-slack rule.
-// With the indexed engine both candidates are O(1) heap reads; the
-// release-ordered heap of task heads is maintained incrementally from the
-// first call on instead of being rescanned per dispatch.
 func (st *State) NextReleaseTime(exclude task.JobKey) (task.Time, bool) {
 	best, found := st.pend.minRelease(exclude)
 	if r, ok := st.releases.Peek(); ok && (!found || r.at < best) {
@@ -418,8 +412,7 @@ func (st *State) advanceReleases(t task.Time) {
 }
 
 // removePending deletes the job from the pending set; reports whether it
-// was present. With the indexed engine removing a task's head is one
-// sift-down over the task heads.
+// was present.
 func (st *State) removePending(key task.JobKey) bool {
 	return st.pend.remove(key)
 }
