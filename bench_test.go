@@ -315,7 +315,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	for _, c := range cases {
 		policies := make([]sim.Policy, len(c.policies))
 		for i, m := range c.policies {
-			p, err := buildDiffPolicy(m, c.set)
+			p, err := buildMethodPolicy(m, c.set)
 			if err != nil {
 				b.Fatal(err)
 			}

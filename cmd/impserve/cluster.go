@@ -27,13 +27,13 @@ import (
 // openCluster recovers (or initializes) the cluster under -dir. relaxedMeta
 // is the serve mode's write-behind meta journal; tape mode fsyncs every
 // placement record.
-func openCluster(fs flags, opts schedrt.Options, fsyncs *int, relaxedMeta bool) (*cluster.Cluster, error) {
+func openCluster(fs flags, fsyncs *int, relaxedMeta bool) (*cluster.Cluster, error) {
 	c, err := cluster.Open(*fs.dir, cluster.Options{
 		Shards:    *fs.shards,
 		Replicas:  *fs.replicas,
 		Placement: *fs.placement,
 		Store: schedrt.StoreOptions{
-			Runtime:     opts,
+			Runtime:     runtimeOptions(fs),
 			AfterSync:   crashHook(fs, fsyncs),
 			CommitBatch: *fs.commitBatch,
 			CommitDelay: *fs.commitDelay,
@@ -90,13 +90,9 @@ func runDurable(fs flags) int {
 		fmt.Fprintln(os.Stderr, "impserve:", err)
 		return exitInvalidInput
 	}
-	opts, code := runtimeOptions(fs)
-	if code != exitOK {
-		return code
-	}
 
 	fsyncs := 0
-	c, err := openCluster(fs, opts, &fsyncs, false)
+	c, err := openCluster(fs, &fsyncs, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "impserve: opening %s: %v\n", *fs.dir, err)
 		return exitInvalidInput
@@ -199,10 +195,6 @@ func runServe(fs flags) int {
 		fmt.Fprintln(os.Stderr, "impserve: -listen and -tape are exclusive; the service admits over HTTP")
 		return exitInvalidInput
 	}
-	opts, code := runtimeOptions(fs)
-	if code != exitOK {
-		return code
-	}
 
 	ln, err := net.Listen("tcp", *fs.listen)
 	if err != nil {
@@ -251,7 +243,7 @@ func runServe(fs flags) int {
 		},
 	}
 	err = sup.Run(ctx, func(ctx context.Context) error {
-		c, err := openCluster(fs, opts, &fsyncs, true)
+		c, err := openCluster(fs, &fsyncs, true)
 		if err != nil {
 			return err
 		}

@@ -27,7 +27,7 @@
 // single node, and its digest equals the in-memory run's. -sweep holds
 // the proof obligation mechanically — it re-executes this binary, killing
 // it at every fsync boundary (exit code 7), and verifies each recovery
-// reaches the uncrashed digest on both dispatch engines.
+// reaches the uncrashed digest.
 //
 // Exit codes (extending the schedcheck convention, where 3 means
 // unschedulable):
@@ -60,7 +60,6 @@ import (
 	"nprt/internal/cluster"
 	"nprt/internal/experiments"
 	schedrt "nprt/internal/runtime"
-	"nprt/internal/sim"
 )
 
 const (
@@ -88,6 +87,10 @@ func run() int {
 	}
 	if *fs.shards > 1 && *fs.dir == "" && !*fs.sweep {
 		fmt.Fprintln(os.Stderr, "impserve: -shards needs -dir (shard stores are durable)")
+		return exitInvalidInput
+	}
+	if err := runtimeOptions(fs).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "impserve:", err)
 		return exitInvalidInput
 	}
 
@@ -197,28 +200,21 @@ type sweepPoint struct {
 	OK              bool   `json:"ok"`
 }
 
-type sweepEngine struct {
-	Engine         string       `json:"engine"`
+type sweepReport struct {
+	Seed           uint64       `json:"seed"`
+	Events         int          `json:"events"`
+	Horizon        int64        `json:"horizon,omitempty"`
 	Fsyncs         int          `json:"fsyncs"`
 	BaselineDigest string       `json:"baseline_digest"`
 	Points         []sweepPoint `json:"points"`
 	AllOK          bool         `json:"all_ok"`
 }
 
-type sweepReport struct {
-	Seed    uint64        `json:"seed"`
-	Events  int           `json:"events"`
-	Horizon int64         `json:"horizon,omitempty"`
-	Engines []sweepEngine `json:"engines"`
-	AllOK   bool          `json:"all_ok"`
-}
-
 // runSweep is the mechanical crash-consistency proof: generate a churn
-// tape, run it once uncrashed per engine to learn the fsync count K and
-// the reference digest, then for every point 1..K re-execute this binary
-// with -crash-after-fsync (expect exit 7) and once more to recover
-// (expect exit 0 and the reference digest). Any divergence fails the
-// sweep.
+// tape, run it once uncrashed to learn the fsync count K and the reference
+// digest, then for every point 1..K re-execute this binary with
+// -crash-after-fsync (expect exit 7) and once more to recover (expect exit
+// 0 and the reference digest). Any divergence fails the sweep.
 func runSweep(fs flags) int {
 	exe, err := os.Executable()
 	if err != nil {
@@ -248,67 +244,52 @@ func runSweep(fs flags) int {
 		return code
 	}
 
-	engines := []string{"indexed", "linear"}
-	if *fs.sweepEngine != "" {
-		engines = []string{*fs.sweepEngine}
-	}
-	report := sweepReport{Seed: *fs.seed, Events: len(tp.Events), Horizon: *fs.epochs, AllOK: true}
-
-	common := []string{"-tape", tapePath, "-seed", fmt.Sprint(*fs.seed),
+	args := []string{"-tape", tapePath, "-seed", fmt.Sprint(*fs.seed),
 		"-hp", fmt.Sprint(*fs.hp), "-quiet"}
 	if *fs.epochs > 0 {
-		common = append(common, "-epochs", fmt.Sprint(*fs.epochs))
+		args = append(args, "-epochs", fmt.Sprint(*fs.epochs))
 	}
 	// The sweep proves whatever width it is asked about: the digest line
 	// under comparison is the folded whole-cluster digest (one shard's own
 	// at the default width). -replicas rides along, so the sweep can also
 	// prove crash recovery with followers attached.
-	common = append(common, "-shards", fmt.Sprint(*fs.shards),
+	args = append(args, "-shards", fmt.Sprint(*fs.shards),
 		"-placement", *fs.placement, "-replicas", fmt.Sprint(*fs.replicas))
-	for _, eng := range engines {
-		args := append([]string{"-engine", eng}, common...)
-		baseDir := filepath.Join(root, eng+"-baseline")
-		out, code, err := runSelf(exe, append(args, "-dir", baseDir)...)
-		if err != nil || code != exitOK {
-			fmt.Fprintf(os.Stderr, "impserve: sweep baseline (%s) exited %d: %v\n%s\n", eng, code, err, out)
-			return exitInternal
-		}
-		baseline := outputField(out, "digest:")
-		k := 0
-		fmt.Sscanf(outputField(out, "fsyncs:"), "%d", &k)
-		if baseline == "" || k == 0 {
-			fmt.Fprintf(os.Stderr, "impserve: sweep baseline (%s) output missing digest/fsyncs:\n%s\n", eng, out)
-			return exitInternal
-		}
-
-		er := sweepEngine{Engine: eng, Fsyncs: k, BaselineDigest: baseline, AllOK: true}
-		for p := 1; p <= k; p++ {
-			dir := filepath.Join(root, fmt.Sprintf("%s-p%03d", eng, p))
-			pt := sweepPoint{Point: p}
-			_, pt.CrashExit, _ = runSelf(exe, append(args, "-dir", dir, "-crash-after-fsync", fmt.Sprint(p))...)
-			out, code, _ := runSelf(exe, append(args, "-dir", dir)...)
-			pt.RecoveredDigest = outputField(out, "digest:")
-			pt.Restored = strings.Contains(out, "restored:")
-			pt.OK = pt.CrashExit == exitCrashPoint && code == exitOK && pt.RecoveredDigest == baseline
-			if !pt.OK {
-				er.AllOK = false
-				report.AllOK = false
-				fmt.Fprintf(os.Stderr, "impserve: sweep point %s/%d FAILED: crash exit %d, recover exit %d, digest %q (want %q)\n",
-					eng, p, pt.CrashExit, code, pt.RecoveredDigest, baseline)
-			}
-			er.Points = append(er.Points, pt)
-			os.RemoveAll(dir)
-		}
-		recovered := 0
-		for _, pt := range er.Points {
-			if pt.OK {
-				recovered++
-			}
-		}
-		fmt.Printf("sweep:       engine %s: %d/%d crash points recovered to digest %s\n",
-			eng, recovered, k, baseline)
-		report.Engines = append(report.Engines, er)
+	out, code, err := runSelf(exe, append(args, "-dir", filepath.Join(root, "baseline"))...)
+	if err != nil || code != exitOK {
+		fmt.Fprintf(os.Stderr, "impserve: sweep baseline exited %d: %v\n%s\n", code, err, out)
+		return exitInternal
 	}
+	baseline := outputField(out, "digest:")
+	k := 0
+	fmt.Sscanf(outputField(out, "fsyncs:"), "%d", &k)
+	if baseline == "" || k == 0 {
+		fmt.Fprintf(os.Stderr, "impserve: sweep baseline output missing digest/fsyncs:\n%s\n", out)
+		return exitInternal
+	}
+
+	report := sweepReport{Seed: *fs.seed, Events: len(tp.Events), Horizon: *fs.epochs,
+		Fsyncs: k, BaselineDigest: baseline, AllOK: true}
+	recovered := 0
+	for p := 1; p <= k; p++ {
+		dir := filepath.Join(root, fmt.Sprintf("p%03d", p))
+		pt := sweepPoint{Point: p}
+		_, pt.CrashExit, _ = runSelf(exe, append(args, "-dir", dir, "-crash-after-fsync", fmt.Sprint(p))...)
+		out, code, _ := runSelf(exe, append(args, "-dir", dir)...)
+		pt.RecoveredDigest = outputField(out, "digest:")
+		pt.Restored = strings.Contains(out, "restored:")
+		pt.OK = pt.CrashExit == exitCrashPoint && code == exitOK && pt.RecoveredDigest == baseline
+		if pt.OK {
+			recovered++
+		} else {
+			report.AllOK = false
+			fmt.Fprintf(os.Stderr, "impserve: sweep point %d FAILED: crash exit %d, recover exit %d, digest %q (want %q)\n",
+				p, pt.CrashExit, code, pt.RecoveredDigest, baseline)
+		}
+		report.Points = append(report.Points, pt)
+		os.RemoveAll(dir)
+	}
+	fmt.Printf("sweep:       %d/%d crash points recovered to digest %s\n", recovered, k, baseline)
 
 	if *fs.sweepOut != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
@@ -360,7 +341,6 @@ type flags struct {
 	epochs     *int64
 	hp         *int
 	seed       *uint64
-	engine     *string
 	checkpoint *string
 	restore    *string
 	jsonl      *string
@@ -379,7 +359,6 @@ type flags struct {
 	crashAfter  *int
 	sweep       *bool
 	sweepOut    *string
-	sweepEngine *string
 
 	shards         *int
 	replicas       *int
@@ -403,7 +382,6 @@ func newFlagSet() flags {
 		epochs:     fs.Int64("epochs", 0, "horizon in epochs (default: last tape event + 32)"),
 		hp:         fs.Int("hp", 1, "hyper-periods per epoch"),
 		seed:       fs.Uint64("seed", 1, "root random seed (ignored with -restore)"),
-		engine:     fs.String("engine", "indexed", "dispatch engine: indexed or linear"),
 		checkpoint: fs.String("checkpoint", "", "write the state snapshot here on exit or signal"),
 		restore:    fs.String("restore", "", "resume from this snapshot instead of starting fresh"),
 		jsonl:      fs.String("jsonl", "", "append one JSON epoch report per line to this file"),
@@ -422,7 +400,6 @@ func newFlagSet() flags {
 		crashAfter:  fs.Int("crash-after-fsync", 0, "testing: exit 7 at the Nth fsync boundary"),
 		sweep:       fs.Bool("sweep", false, "run the crash-point sweep (kill at every fsync, verify recovery digests) and exit"),
 		sweepOut:    fs.String("sweep-out", "", "sweep mode: write the JSON artifact here"),
-		sweepEngine: fs.String("sweep-engine", "", "sweep mode: restrict to one engine (default: both)"),
 
 		shards:         fs.Int("shards", 1, "durable modes: partition the state across this many shard stores"),
 		replicas:       fs.Int("replicas", 0, "synchronous followers per shard (0 disables replication)"),
@@ -439,22 +416,10 @@ func newFlagSet() flags {
 	}
 }
 
-func runtimeOptions(fs flags) (schedrt.Options, int) {
-	var engine sim.EngineKind
-	switch *fs.engine {
-	case "indexed":
-		engine = sim.EngineIndexed
-	case "linear":
-		engine = sim.EngineLinearScan
-	default:
-		fmt.Fprintf(os.Stderr, "impserve: unknown engine %q (indexed or linear)\n", *fs.engine)
-		return schedrt.Options{}, exitInvalidInput
-	}
-	return schedrt.Options{
-		Seed:              *fs.seed,
-		Engine:            engine,
-		EpochHyperperiods: *fs.hp,
-	}, exitOK
+// runtimeOptions is the runtime configuration the flags describe; run
+// validates it once, before any mode starts.
+func runtimeOptions(fs flags) schedrt.Options {
+	return schedrt.Options{Seed: *fs.seed, EpochHyperperiods: *fs.hp}
 }
 
 // makeRuntime builds the in-memory runtime from flags — fresh or from a
@@ -475,11 +440,7 @@ func makeRuntime(fs flags) (*schedrt.Runtime, int) {
 		fmt.Printf("restored:    %s at epoch %d (digest %016x)\n", *fs.restore, r.Epoch(), r.Digest())
 		return r, exitOK
 	}
-	opts, code := runtimeOptions(fs)
-	if code != exitOK {
-		return nil, code
-	}
-	r, err := schedrt.New(opts)
+	r, err := schedrt.New(runtimeOptions(fs))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "impserve:", err)
 		return nil, exitInvalidInput

@@ -320,7 +320,7 @@ artifacts:
   faults   overrun-containment fault sweep (miss rate and error vs. overrun
            probability/magnitude per containment policy)
   churn    long-running runtime churn soak (-events admission events per
-           tape, both engines, zero-clean-miss and digest checks)
+           tape, zero-clean-miss and digest checks)
   chaos    cluster chaos soak (-events churn events under seeded shard
            kills, wedge-evacuations and storage faults; soak invariants
            checked after every tick, per-tick digest reproducibility)

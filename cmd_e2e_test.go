@@ -344,6 +344,15 @@ func TestE2EImpserve(t *testing.T) {
 	if code, _ := exitCode(t, "impserve"); code != 2 {
 		t.Errorf("no-args exit %d, want 2", code)
 	}
+	// A negative epoch length is invalid input, not a silent default.
+	if code, out := exitCode(t, "impserve", "-tape", tape, "-hp", "-1", "-quiet"); code != 2 {
+		t.Errorf("-hp -1 exit %d, want 2\n%s", code, out)
+	}
+	// The dispatch-engine flag is retired: it is an unknown flag now.
+	if code, out := exitCode(t, "impserve", "-tape", tape, "-engine", "linear", "-quiet"); code != 2 ||
+		!strings.Contains(out, "flag provided but not defined: -engine") {
+		t.Errorf("-engine linear exit %d, want 2 (unknown flag)\n%s", code, out)
+	}
 }
 
 // digestLine extracts the "digest: <hex>" summary line.
@@ -424,9 +433,8 @@ func TestE2EPaperbenchChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "\"engines_match\": true") &&
-		!strings.Contains(string(data), "\"engines_match\":true") {
-		t.Errorf("churn.json lacks engine agreement: %.200s", data)
+	if !strings.Contains(string(data), "\"digest\"") {
+		t.Errorf("churn.json lacks the per-tape digest: %.200s", data)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "churn.csv")); err != nil {
 		t.Errorf("churn.csv missing: %v", err)
@@ -502,7 +510,7 @@ func TestE2EImpserveSweep(t *testing.T) {
 	dir := t.TempDir()
 	artifact := filepath.Join(dir, "sweep.json")
 	out, err := runTool(t, "impserve", "-sweep", "-gen", "8", "-seed", "5",
-		"-sweep-engine", "indexed", "-sweep-out", artifact)
+		"-sweep-out", artifact)
 	if err != nil {
 		t.Fatalf("sweep: %v\n%s", err, out)
 	}
@@ -514,21 +522,27 @@ func TestE2EImpserveSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var report struct {
-		Engines []struct {
-			Engine string `json:"engine"`
-			Fsyncs int    `json:"fsyncs"`
-			AllOK  bool   `json:"all_ok"`
-		} `json:"engines"`
+		Fsyncs         int    `json:"fsyncs"`
+		BaselineDigest string `json:"baseline_digest"`
+		Points         []struct {
+			RecoveredDigest string `json:"recovered_digest"`
+			OK              bool   `json:"ok"`
+		} `json:"points"`
 		AllOK bool `json:"all_ok"`
 	}
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatalf("artifact: %v\n%.200s", err, data)
 	}
-	if !report.AllOK || len(report.Engines) != 1 || !report.Engines[0].AllOK {
+	if !report.AllOK || len(report.Points) != report.Fsyncs {
 		t.Errorf("sweep artifact not all-ok: %+v", report)
 	}
-	if report.Engines[0].Fsyncs < 10 {
-		t.Errorf("suspiciously few crash points: %d", report.Engines[0].Fsyncs)
+	for i, pt := range report.Points {
+		if !pt.OK || pt.RecoveredDigest != report.BaselineDigest {
+			t.Errorf("point %d: recovered %q, baseline %q", i+1, pt.RecoveredDigest, report.BaselineDigest)
+		}
+	}
+	if report.Fsyncs < 10 {
+		t.Errorf("suspiciously few crash points: %d", report.Fsyncs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"nprt/internal/cluster"
 	schedrt "nprt/internal/runtime"
-	"nprt/internal/sim"
 )
 
 // TestMigrateTaskMovesOwnership: a live handoff re-admits the task on the
@@ -66,7 +65,7 @@ func TestMigrateTaskMovesOwnership(t *testing.T) {
 	if live(c2, 0, "m1") || !live(c2, 1, "m1") {
 		t.Fatal("shard truth did not survive reopen")
 	}
-	// The moved task still schedules: run a few epochs on both engines' state.
+	// The moved task still schedules: run an epoch on both shards.
 	if _, err := c2.RunEpoch(false); err != nil {
 		t.Fatalf("epoch after migrate: %v", err)
 	}
@@ -129,104 +128,98 @@ func TestRebalanceHysteresis(t *testing.T) {
 // TestMigrationCrashSweep kills the cluster (panic out of the fsync hook)
 // at EVERY fsync boundary inside an in-flight migration and requires
 // recovery to converge to exactly one owner — never zero (lost), never two
-// (duplicated) — on both scheduler engines. Digest equality cannot be the
-// criterion here: recovery legitimately aborts a migration whose commit
-// record never became durable, so the final owner may be source OR target.
-// Exactly-once ownership is the invariant the meta-journal protocol owes.
+// (duplicated). Digest equality cannot be the criterion here: recovery
+// legitimately aborts a migration whose commit record never became
+// durable, so the final owner may be source OR target. Exactly-once
+// ownership is the invariant the meta-journal protocol owes.
 func TestMigrationCrashSweep(t *testing.T) {
-	for _, eng := range []sim.EngineKind{sim.EngineIndexed, sim.EngineLinearScan} {
-		eng := eng
-		t.Run(fmt.Sprintf("engine=%d", eng), func(t *testing.T) {
-			opt := cluster.Options{Shards: 2, Placement: "first-fit", Store: schedrt.StoreOptions{}}
-			opt.Store.Runtime.Engine = eng
+	opt := cluster.Options{Shards: 2, Placement: "first-fit", Store: schedrt.StoreOptions{}}
 
-			// seed opens a strict-sync cluster with three tasks on shard 0.
-			// The fsync hook is armed only around the migration itself, so
-			// every counted boundary is part of the handoff protocol.
-			seed := func(t *testing.T, dir string, hook func()) *cluster.Cluster {
-				armed := false
-				o := opt
-				o.Store.AfterSync = func() {
-					if armed {
-						hook()
-					}
-				}
-				c := openCluster(t, dir, o)
-				for i := 0; i < 3; i++ {
-					if _, err := c.Apply(addEvent(fmt.Sprintf("c%d", i), 100, 10, 2)); err != nil {
-						t.Fatalf("seed %d: %v", i, err)
-					}
-				}
-				armed = true
-				return c
+	// seed opens a strict-sync cluster with three tasks on shard 0.
+	// The fsync hook is armed only around the migration itself, so
+	// every counted boundary is part of the handoff protocol.
+	seed := func(t *testing.T, dir string, hook func()) *cluster.Cluster {
+		armed := false
+		o := opt
+		o.Store.AfterSync = func() {
+			if armed {
+				hook()
 			}
+		}
+		c := openCluster(t, dir, o)
+		for i := 0; i < 3; i++ {
+			if _, err := c.Apply(addEvent(fmt.Sprintf("c%d", i), 100, 10, 2)); err != nil {
+				t.Fatalf("seed %d: %v", i, err)
+			}
+		}
+		armed = true
+		return c
+	}
 
-			// Count the fsync boundaries of one uncrashed migration.
-			total := 0
-			{
-				c := seed(t, t.TempDir(), func() { total++ })
-				if mv, err := c.MigrateTask("c1", 1); err != nil || !mv.Moved {
-					t.Fatalf("uncrashed migration: %+v, %v", mv, err)
-				}
-				c.Close()
-			}
-			if total < 3 {
-				t.Fatalf("only %d fsync boundaries in a migration — protocol not exercising the journals", total)
-			}
+	// Count the fsync boundaries of one uncrashed migration.
+	total := 0
+	{
+		c := seed(t, t.TempDir(), func() { total++ })
+		if mv, err := c.MigrateTask("c1", 1); err != nil || !mv.Moved {
+			t.Fatalf("uncrashed migration: %+v, %v", mv, err)
+		}
+		c.Close()
+	}
+	if total < 3 {
+		t.Fatalf("only %d fsync boundaries in a migration — protocol not exercising the journals", total)
+	}
 
-			for point := 1; point <= total; point++ {
-				dir := t.TempDir()
-				n := 0
-				func() {
-					defer func() {
-						r := recover()
-						if r == nil {
-							t.Fatalf("kill point %d/%d never reached", point, total)
-						}
-						if _, ok := r.(crashNow); !ok {
-							panic(r)
-						}
-					}()
-					c := seed(t, dir, func() {
-						n++
-						if n == point {
-							panic(crashNow{point})
-						}
-					})
-					// No Close: a crash leaks the fds, exactly like a real kill.
-					_, _ = c.MigrateTask("c1", 1)
-					t.Fatalf("migration with kill point %d finished without crashing", point)
-				}()
+	for point := 1; point <= total; point++ {
+		dir := t.TempDir()
+		n := 0
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("kill point %d/%d never reached", point, total)
+				}
+				if _, ok := r.(crashNow); !ok {
+					panic(r)
+				}
+			}()
+			c := seed(t, dir, func() {
+				n++
+				if n == point {
+					panic(crashNow{point})
+				}
+			})
+			// No Close: a crash leaks the fds, exactly like a real kill.
+			_, _ = c.MigrateTask("c1", 1)
+			t.Fatalf("migration with kill point %d finished without crashing", point)
+		}()
 
-				// Recover and audit ownership.
-				c, err := cluster.Open(dir, opt)
-				if err != nil {
-					t.Fatalf("kill point %d: reopen: %v", point, err)
+		// Recover and audit ownership.
+		c, err := cluster.Open(dir, opt)
+		if err != nil {
+			t.Fatalf("kill point %d: reopen: %v", point, err)
+		}
+		holders := 0
+		holder := -1
+		for _, sh := range c.Shards() {
+			for _, spec := range sh.Store.Runtime().Tasks() {
+				if spec.Task.Name == "c1" {
+					holders++
+					holder = sh.ID
 				}
-				holders := 0
-				holder := -1
-				for _, sh := range c.Shards() {
-					for _, spec := range sh.Store.Runtime().Tasks() {
-						if spec.Task.Name == "c1" {
-							holders++
-							holder = sh.ID
-						}
-					}
-				}
-				if holders != 1 {
-					t.Fatalf("kill point %d: task live on %d shards, want exactly 1", point, holders)
-				}
-				if si, ok := c.Owners()["c1"]; !ok || si != holder {
-					t.Fatalf("kill point %d: owner map says %d/%v, shard truth says %d", point, si, ok, holder)
-				}
-				// The untouched tasks must be unharmed.
-				for _, name := range []string{"c0", "c2"} {
-					if si, ok := c.Owners()[name]; !ok || si != 0 {
-						t.Fatalf("kill point %d: bystander %s owner %d/%v", point, name, si, ok)
-					}
-				}
-				c.Close()
 			}
-		})
+		}
+		if holders != 1 {
+			t.Fatalf("kill point %d: task live on %d shards, want exactly 1", point, holders)
+		}
+		if si, ok := c.Owners()["c1"]; !ok || si != holder {
+			t.Fatalf("kill point %d: owner map says %d/%v, shard truth says %d", point, si, ok, holder)
+		}
+		// The untouched tasks must be unharmed.
+		for _, name := range []string{"c0", "c2"} {
+			if si, ok := c.Owners()[name]; !ok || si != 0 {
+				t.Fatalf("kill point %d: bystander %s owner %d/%v", point, name, si, ok)
+			}
+		}
+		c.Close()
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"nprt/internal/cluster"
 	"nprt/internal/journal"
 	schedrt "nprt/internal/runtime"
-	"nprt/internal/sim"
 )
 
 // replicated returns Options for a 2-shard, 1-follower cluster whose
@@ -255,129 +254,123 @@ func TestClusterRefusesFewerReplicas(t *testing.T) {
 // TestPromotionCrashSweep kills the cluster (panic out of the fsync hook)
 // at EVERY fsync boundary across a forced failover and requires recovery
 // to come back with exactly one primary per shard and every acked task
-// live exactly once — on both scheduler engines. The promote meta record
-// is the commit point: killed before it, recovery serves from the old
-// primary's acked prefix; killed after, from the byte-identical promoted
-// follower. No boundary may yield zero or two holders of any task.
+// live exactly once. The promote meta record is the commit point: killed
+// before it, recovery serves from the old primary's acked prefix; killed
+// after, from the byte-identical promoted follower. No boundary may yield
+// zero or two holders of any task.
 func TestPromotionCrashSweep(t *testing.T) {
-	for _, eng := range []sim.EngineKind{sim.EngineIndexed, sim.EngineLinearScan} {
-		eng := eng
-		t.Run(fmt.Sprintf("engine=%d", eng), func(t *testing.T) {
-			base := func(prim journal.Injector) cluster.Options {
-				o := replicated(prim, nil)
-				o.Store.NoSync = false // strict sync: the sweep counts real boundaries
-				o.Store.Runtime.Engine = eng
-				return o
-			}
+	base := func(prim journal.Injector) cluster.Options {
+		o := replicated(prim, nil)
+		o.Store.NoSync = false // strict sync: the sweep counts real boundaries
+		return o
+	}
 
-			// seed opens a strict-sync replicated cluster with three acked
-			// tasks on shard 0, then wedges the primary drive and arms the
-			// fsync hook, so every counted boundary belongs to the failover.
-			seed := func(t *testing.T, dir string, prim *flakyInjector, hook func()) *cluster.Cluster {
-				armed := false
-				o := base(prim)
-				o.Store.AfterSync = func() {
-					if armed {
-						hook()
-					}
-				}
-				c := openCluster(t, dir, o)
-				for i := 0; i < 3; i++ {
-					if _, err := c.Apply(addEvent(fmt.Sprintf("c%d", i), 100, 10, 2)); err != nil {
-						t.Fatalf("seed %d: %v", i, err)
-					}
-				}
-				prim.wedged = true
-				armed = true
-				return c
+	// seed opens a strict-sync replicated cluster with three acked
+	// tasks on shard 0, then wedges the primary drive and arms the
+	// fsync hook, so every counted boundary belongs to the failover.
+	seed := func(t *testing.T, dir string, prim *flakyInjector, hook func()) *cluster.Cluster {
+		armed := false
+		o := base(prim)
+		o.Store.AfterSync = func() {
+			if armed {
+				hook()
 			}
+		}
+		c := openCluster(t, dir, o)
+		for i := 0; i < 3; i++ {
+			if _, err := c.Apply(addEvent(fmt.Sprintf("c%d", i), 100, 10, 2)); err != nil {
+				t.Fatalf("seed %d: %v", i, err)
+			}
+		}
+		prim.wedged = true
+		armed = true
+		return c
+	}
 
-			// Count the fsync boundaries of one uncrashed failover.
-			total := 0
-			{
-				prim := &flakyInjector{}
-				c := seed(t, t.TempDir(), prim, func() { total++ })
-				if _, err := c.Apply(addEvent("p1", 100, 10, 2)); err != nil {
-					t.Fatalf("uncrashed failover: %v", err)
-				}
-				if c.Health(0).Promotions != 1 {
-					t.Fatalf("uncrashed run did not promote: %+v", c.Health(0))
-				}
-				prim.wedged = false
-				c.Close()
-			}
-			if total < 2 {
-				t.Fatalf("only %d fsync boundaries in a failover — promotion is not journaling", total)
-			}
+	// Count the fsync boundaries of one uncrashed failover.
+	total := 0
+	{
+		prim := &flakyInjector{}
+		c := seed(t, t.TempDir(), prim, func() { total++ })
+		if _, err := c.Apply(addEvent("p1", 100, 10, 2)); err != nil {
+			t.Fatalf("uncrashed failover: %v", err)
+		}
+		if c.Health(0).Promotions != 1 {
+			t.Fatalf("uncrashed run did not promote: %+v", c.Health(0))
+		}
+		prim.wedged = false
+		c.Close()
+	}
+	if total < 2 {
+		t.Fatalf("only %d fsync boundaries in a failover — promotion is not journaling", total)
+	}
 
-			for point := 1; point <= total; point++ {
-				dir := t.TempDir()
-				prim := &flakyInjector{}
-				n := 0
-				func() {
-					defer func() {
-						r := recover()
-						if r == nil {
-							t.Fatalf("kill point %d/%d never reached", point, total)
-						}
-						if _, ok := r.(crashNow); !ok {
-							panic(r)
-						}
-					}()
-					c := seed(t, dir, prim, func() {
-						n++
-						if n == point {
-							panic(crashNow{point})
-						}
-					})
-					// No Close: a crash leaks the fds, exactly like a real kill.
-					_, _ = c.Apply(addEvent("p1", 100, 10, 2))
-					t.Fatalf("failover with kill point %d finished without crashing", point)
-				}()
+	for point := 1; point <= total; point++ {
+		dir := t.TempDir()
+		prim := &flakyInjector{}
+		n := 0
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("kill point %d/%d never reached", point, total)
+				}
+				if _, ok := r.(crashNow); !ok {
+					panic(r)
+				}
+			}()
+			c := seed(t, dir, prim, func() {
+				n++
+				if n == point {
+					panic(crashNow{point})
+				}
+			})
+			// No Close: a crash leaks the fds, exactly like a real kill.
+			_, _ = c.Apply(addEvent("p1", 100, 10, 2))
+			t.Fatalf("failover with kill point %d finished without crashing", point)
+		}()
 
-				// The operator replaces the dead drive, then recovery runs.
-				prim.wedged = false
-				c, err := cluster.Open(dir, base(prim))
-				if err != nil {
-					t.Fatalf("kill point %d: reopen: %v", point, err)
+		// The operator replaces the dead drive, then recovery runs.
+		prim.wedged = false
+		c, err := cluster.Open(dir, base(prim))
+		if err != nil {
+			t.Fatalf("kill point %d: reopen: %v", point, err)
+		}
+		// Exactly one primary: recovery picked one slot, and its
+		// follower re-seeds to byte-identity — no split brain.
+		slot := c.PrimarySlot(0)
+		if slot != 0 && slot != 1 {
+			t.Fatalf("kill point %d: primary slot %d", point, slot)
+		}
+		if reps := c.Replicas(0); len(reps) != 1 || !reps[0].InSync {
+			t.Fatalf("kill point %d: follower set did not converge: %+v", point, reps)
+		}
+		// Every acked task is live exactly once, and the owner map
+		// agrees with shard truth — including the in-flight p1,
+		// which may be present (its append became durable) or
+		// absent (it died with the crash), but never duplicated.
+		holders := make(map[string]int)
+		for _, sh := range c.Shards() {
+			for _, spec := range sh.Store.Runtime().Tasks() {
+				holders[spec.Task.Name]++
+				if si := c.Owners()[spec.Task.Name]; si != sh.ID {
+					t.Fatalf("kill point %d: %q live on shard %d, owner map says %d",
+						point, spec.Task.Name, sh.ID, si)
 				}
-				// Exactly one primary: recovery picked one slot, and its
-				// follower re-seeds to byte-identity — no split brain.
-				slot := c.PrimarySlot(0)
-				if slot != 0 && slot != 1 {
-					t.Fatalf("kill point %d: primary slot %d", point, slot)
-				}
-				if reps := c.Replicas(0); len(reps) != 1 || !reps[0].InSync {
-					t.Fatalf("kill point %d: follower set did not converge: %+v", point, reps)
-				}
-				// Every acked task is live exactly once, and the owner map
-				// agrees with shard truth — including the in-flight p1,
-				// which may be present (its append became durable) or
-				// absent (it died with the crash), but never duplicated.
-				holders := make(map[string]int)
-				for _, sh := range c.Shards() {
-					for _, spec := range sh.Store.Runtime().Tasks() {
-						holders[spec.Task.Name]++
-						if si := c.Owners()[spec.Task.Name]; si != sh.ID {
-							t.Fatalf("kill point %d: %q live on shard %d, owner map says %d",
-								point, spec.Task.Name, sh.ID, si)
-						}
-					}
-				}
-				for _, name := range []string{"c0", "c1", "c2"} {
-					if holders[name] != 1 {
-						t.Fatalf("kill point %d: acked task %q live on %d shards", point, name, holders[name])
-					}
-				}
-				if holders["p1"] > 1 {
-					t.Fatalf("kill point %d: in-flight task duplicated across failover", point)
-				}
-				// The recovered shard serves.
-				if _, err := c.Apply(addEvent(fmt.Sprintf("fresh%d", point), 100, 10, 2)); err != nil {
-					t.Fatalf("kill point %d: apply after recovery: %v", point, err)
-				}
-				c.Close()
 			}
-		})
+		}
+		for _, name := range []string{"c0", "c1", "c2"} {
+			if holders[name] != 1 {
+				t.Fatalf("kill point %d: acked task %q live on %d shards", point, name, holders[name])
+			}
+		}
+		if holders["p1"] > 1 {
+			t.Fatalf("kill point %d: in-flight task duplicated across failover", point)
+		}
+		// The recovered shard serves.
+		if _, err := c.Apply(addEvent(fmt.Sprintf("fresh%d", point), 100, 10, 2)); err != nil {
+			t.Fatalf("kill point %d: apply after recovery: %v", point, err)
+		}
+		c.Close()
 	}
 }

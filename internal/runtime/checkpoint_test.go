@@ -204,7 +204,7 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		{"negative metric", reencode(func(cp *Checkpoint) { cp.Metrics.Jobs = -1 })},
 		{"slack table mismatch", reencode(func(cp *Checkpoint) { cp.ESR.Slacks[0] += 1 })},
 		{"slack table truncated", reencode(func(cp *Checkpoint) { cp.ESR.Slacks = cp.ESR.Slacks[:1] })},
-		{"bad options", reencode(func(cp *Checkpoint) { cp.Options.Engine = 99 })},
+		{"bad options", reencode(func(cp *Checkpoint) { cp.Options.EpochHyperperiods = -1 })},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

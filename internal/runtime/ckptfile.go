@@ -55,13 +55,18 @@ func EncodeCheckpointFile(fc *FileCheckpoint) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return frameCheckpoint(payload), nil
+}
+
+// frameCheckpoint prepends the header to an encoded FileCheckpoint.
+func frameCheckpoint(payload []byte) []byte {
 	buf := make([]byte, ckptHeaderSize+len(payload))
 	copy(buf, ckptMagic[:])
 	binary.LittleEndian.PutUint32(buf[8:], CheckpointFileVersion)
 	binary.LittleEndian.PutUint64(buf[12:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(payload, castagnoliCkpt))
 	copy(buf[ckptHeaderSize:], payload)
-	return buf, nil
+	return buf
 }
 
 var castagnoliCkpt = crc32.MakeTable(crc32.Castagnoli)

@@ -108,12 +108,10 @@ type TaskSpec struct {
 	Criticality int `json:"criticality"`
 }
 
-// Options parameterizes a Runtime. The zero value is usable: seed 1,
-// default engine, one hyper-period per epoch, online planner, default
-// governor.
+// Options parameterizes a Runtime. The zero value is usable: seed 1, one
+// hyper-period per epoch, online planner, default governor.
 type Options struct {
 	Seed              uint64          `json:"seed"`
-	Engine            sim.EngineKind  `json:"engine"`
 	EpochHyperperiods int             `json:"epoch_hyperperiods"`
 	Planner           PlannerKind     `json:"planner"`
 	Resilient         ResilientConfig `json:"resilient"`
@@ -126,18 +124,16 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.EpochHyperperiods <= 0 {
+	if o.EpochHyperperiods == 0 {
 		o.EpochHyperperiods = 1
 	}
 	o.Governor = o.Governor.withDefaults()
 	return o
 }
 
-// Validate rejects meaningless options.
+// Validate rejects meaningless options. It checks the options as given,
+// before withDefaults fills the zero fields.
 func (o Options) Validate() error {
-	if o.Engine != sim.EngineIndexed && o.Engine != sim.EngineLinearScan {
-		return fmt.Errorf("runtime: unknown engine %d", o.Engine)
-	}
 	if o.Planner != PlanOnline && o.Planner != PlanResilient {
 		return fmt.Errorf("runtime: unknown planner %d", o.Planner)
 	}
@@ -276,10 +272,10 @@ type Runtime struct {
 
 // New builds an empty runtime.
 func New(opt Options) (*Runtime, error) {
-	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	opt = opt.withDefaults()
 	gov, err := NewGovernor(opt.Governor)
 	if err != nil {
 		return nil, err
@@ -548,7 +544,6 @@ func (r *Runtime) RunEpoch() (EpochReport, error) {
 	cfg := sim.Config{
 		Hyperperiods: r.opt.EpochHyperperiods,
 		Sampler:      sim.NewRandomSampler(r.set, seed),
-		Engine:       r.opt.Engine,
 		Containment:  r.opt.Containment,
 	}
 	if overloaded {

@@ -233,51 +233,18 @@ func TestOverloadShedsAndRestores(t *testing.T) {
 	}
 }
 
-// TestDigestDeterminismAcrossEngines: the same request sequence on the
-// indexed and the linear-scan engine must produce identical digests after
-// every epoch — the runtime inherits the simulator's bit-identity.
-func TestDigestDeterminismAcrossEngines(t *testing.T) {
-	run := func(engine sim.EngineKind) []uint64 {
-		r := mkRuntime(t, Options{Seed: 11, Engine: engine,
-			Governor: GovernorConfig{Window: 2, ShedThreshold: 0.5, RestoreThreshold: 0.1, DwellEpochs: 1}})
+// TestDigestDiffersAcrossSeeds: the digest folds the seed in, so the same
+// first epoch under a different seed must not collide.
+func TestDigestDiffersAcrossSeeds(t *testing.T) {
+	digest := func(seed uint64) uint64 {
+		r := mkRuntime(t, Options{Seed: seed})
 		mustAdd(t, r, TaskSpec{Task: mkTask("a", 20, 8, 2)})
-		mustAdd(t, r, TaskSpec{Task: mkTask("b", 40, 8, 4), Criticality: 1})
-		var digests []uint64
-		for i := 0; i < 30; i++ {
-			switch i {
-			case 5:
-				if _, err := r.Overload(sim.FaultRates{OverrunProb: 0.8, OverrunFactor: 3}, 8); err != nil {
-					t.Fatal(err)
-				}
-			case 20:
-				if _, err := r.Remove("b"); err != nil {
-					t.Fatal(err)
-				}
-			case 21:
-				mustAdd(t, r, TaskSpec{Task: mkTask("c", 20, 6, 3)})
-			}
-			if _, err := r.RunEpoch(); err != nil {
-				t.Fatal(err)
-			}
-			digests = append(digests, r.Digest())
+		if _, err := r.RunEpoch(); err != nil {
+			t.Fatal(err)
 		}
-		return digests
+		return r.Digest()
 	}
-
-	indexed := run(sim.EngineIndexed)
-	linear := run(sim.EngineLinearScan)
-	for i := range indexed {
-		if indexed[i] != linear[i] {
-			t.Fatalf("digest diverged at epoch %d: indexed %x, linear %x", i, indexed[i], linear[i])
-		}
-	}
-	// And a different seed must not collide.
-	other := mkRuntime(t, Options{Seed: 12})
-	mustAdd(t, other, TaskSpec{Task: mkTask("a", 20, 8, 2)})
-	if _, err := other.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	if other.Digest() == indexed[0] {
+	if digest(11) == digest(12) {
 		t.Error("different seeds produced identical digests")
 	}
 }

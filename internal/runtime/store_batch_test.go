@@ -142,89 +142,85 @@ func TestStoreCrashSweepBatched(t *testing.T) {
 		}
 		return err
 	}
-	for _, eng := range []sim.EngineKind{sim.EngineIndexed, sim.EngineLinearScan} {
-		t.Run(fmt.Sprintf("engine=%d", eng), func(t *testing.T) {
-			opt := StoreOptions{Runtime: Options{Engine: eng}}
+	opt := StoreOptions{}
 
-			// Serial uncrashed baseline digest.
-			s, err := OpenStore(t.TempDir(), StoreOptions{Runtime: opt.Runtime, NoSync: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PlayTape(tp, storeHorizon, nil, nil, tol); err != nil {
-				t.Fatal(err)
-			}
-			want := s.Digest()
-			s.Close()
+	// Serial uncrashed baseline digest.
+	s, err := OpenStore(t.TempDir(), StoreOptions{Runtime: opt.Runtime, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PlayTape(tp, storeHorizon, nil, nil, tol); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Digest()
+	s.Close()
 
-			// Count the batched run's fsync boundaries.
-			total := 0
-			countOpt := opt
-			countOpt.AfterSync = func() { total++ }
-			s, err = OpenStore(t.TempDir(), countOpt)
+	// Count the batched run's fsync boundaries.
+	total := 0
+	countOpt := opt
+	countOpt.AfterSync = func() { total++ }
+	s, err = OpenStore(t.TempDir(), countOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := playStoreBatched(s, tp, storeHorizon); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Digest(); got != want {
+		t.Fatalf("uncrashed batched digest %016x != serial %016x", got, want)
+	}
+	st := s.CommitStats()
+	if st.MaxGroup < 3 {
+		t.Fatalf("sweep would not cross a multi-record boundary: %+v", st)
+	}
+	s.Close()
+	if total < 20 {
+		t.Fatalf("only %d fsync boundaries — batched tape not exercising the WAL", total)
+	}
+
+	for point := 1; point <= total; point++ {
+		point := point
+		t.Run(fmt.Sprintf("kill@%d", point), func(t *testing.T) {
+			dir := t.TempDir()
+			crashOpt := opt
+			n := 0
+			crashOpt.AfterSync = func() {
+				n++
+				if n == point {
+					panic(crashNow{point})
+				}
+			}
+
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("kill point %d never reached (total %d)", point, total)
+					}
+					if _, ok := r.(crashNow); !ok {
+						panic(r)
+					}
+				}()
+				s, err := OpenStore(dir, crashOpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = playStoreBatched(s, tp, storeHorizon)
+				t.Fatalf("run with kill point %d finished without crashing", point)
+			}()
+
+			s, err := OpenStore(dir, opt)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("recovery after kill %d: %v", point, err)
 			}
 			if err := playStoreBatched(s, tp, storeHorizon); err != nil {
-				t.Fatal(err)
+				t.Fatalf("resume after kill %d: %v", point, err)
 			}
-			if got := s.Digest(); got != want {
-				t.Fatalf("uncrashed batched digest %016x != serial %016x", got, want)
-			}
-			st := s.CommitStats()
-			if st.MaxGroup < 3 {
-				t.Fatalf("sweep would not cross a multi-record boundary: %+v", st)
+			if s.Digest() != want {
+				t.Errorf("kill point %d: digest %016x, uncrashed serial %016x",
+					point, s.Digest(), want)
 			}
 			s.Close()
-			if total < 20 {
-				t.Fatalf("only %d fsync boundaries — batched tape not exercising the WAL", total)
-			}
-
-			for point := 1; point <= total; point++ {
-				point := point
-				t.Run(fmt.Sprintf("kill@%d", point), func(t *testing.T) {
-					dir := t.TempDir()
-					crashOpt := opt
-					n := 0
-					crashOpt.AfterSync = func() {
-						n++
-						if n == point {
-							panic(crashNow{point})
-						}
-					}
-
-					func() {
-						defer func() {
-							r := recover()
-							if r == nil {
-								t.Fatalf("kill point %d never reached (total %d)", point, total)
-							}
-							if _, ok := r.(crashNow); !ok {
-								panic(r)
-							}
-						}()
-						s, err := OpenStore(dir, crashOpt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						_ = playStoreBatched(s, tp, storeHorizon)
-						t.Fatalf("run with kill point %d finished without crashing", point)
-					}()
-
-					s, err := OpenStore(dir, opt)
-					if err != nil {
-						t.Fatalf("recovery after kill %d: %v", point, err)
-					}
-					if err := playStoreBatched(s, tp, storeHorizon); err != nil {
-						t.Fatalf("resume after kill %d: %v", point, err)
-					}
-					if s.Digest() != want {
-						t.Errorf("kill point %d: digest %016x, uncrashed serial %016x",
-							point, s.Digest(), want)
-					}
-					s.Close()
-				})
-			}
 		})
 	}
 }

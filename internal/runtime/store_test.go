@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -135,77 +137,73 @@ type crashNow struct{ point int }
 // kill the store (via a panic out of the fsync hook) at EVERY durability
 // boundary along the tape, reopen, finish the run, and require the final
 // digest to be bit-identical to the uncrashed run's. The process-level
-// half (SIGKILL between fsyncs, both engines) lives in cmd/impserve's
+// half (SIGKILL between fsyncs) lives in cmd/impserve's
 // sweep mode and the e2e test.
 func TestStoreCrashSweep(t *testing.T) {
-	for _, eng := range []sim.EngineKind{sim.EngineIndexed, sim.EngineLinearScan} {
-		t.Run(fmt.Sprintf("engine=%d", eng), func(t *testing.T) {
-			opt := StoreOptions{Runtime: Options{Engine: eng}}
-			want := uncrashedDigest(t, opt)
+	opt := StoreOptions{}
+	want := uncrashedDigest(t, opt)
 
-			// Count the fsync boundaries of an uncrashed run.
-			total := 0
-			countOpt := opt
-			countOpt.AfterSync = func() { total++ }
-			s, err := OpenStore(t.TempDir(), countOpt)
+	// Count the fsync boundaries of an uncrashed run.
+	total := 0
+	countOpt := opt
+	countOpt.AfterSync = func() { total++ }
+	s, err := OpenStore(t.TempDir(), countOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := playStore(s, storeTape()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if total < 20 {
+		t.Fatalf("only %d fsync boundaries — the tape is not exercising the WAL", total)
+	}
+
+	for point := 1; point <= total; point++ {
+		point := point
+		t.Run(fmt.Sprintf("kill@%d", point), func(t *testing.T) {
+			dir := t.TempDir()
+			crashOpt := opt
+			n := 0
+			crashOpt.AfterSync = func() {
+				n++
+				if n == point {
+					panic(crashNow{point})
+				}
+			}
+
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("kill point %d never reached (total %d)", point, total)
+					}
+					if _, ok := r.(crashNow); !ok {
+						panic(r)
+					}
+				}()
+				s, err := OpenStore(dir, crashOpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// No Close: a crash leaks the fd, exactly like a
+				// real kill. The reopen below works regardless.
+				_ = playStore(s, storeTape())
+				t.Fatalf("run with kill point %d finished without crashing", point)
+			}()
+
+			s, err := OpenStore(dir, opt)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("recovery after kill %d: %v", point, err)
 			}
 			if err := playStore(s, storeTape()); err != nil {
-				t.Fatal(err)
+				t.Fatalf("resume after kill %d: %v", point, err)
+			}
+			if s.Digest() != want {
+				t.Errorf("kill point %d: digest %016x, uncrashed %016x",
+					point, s.Digest(), want)
 			}
 			s.Close()
-			if total < 20 {
-				t.Fatalf("only %d fsync boundaries — the tape is not exercising the WAL", total)
-			}
-
-			for point := 1; point <= total; point++ {
-				point := point
-				t.Run(fmt.Sprintf("kill@%d", point), func(t *testing.T) {
-					dir := t.TempDir()
-					crashOpt := opt
-					n := 0
-					crashOpt.AfterSync = func() {
-						n++
-						if n == point {
-							panic(crashNow{point})
-						}
-					}
-
-					func() {
-						defer func() {
-							r := recover()
-							if r == nil {
-								t.Fatalf("kill point %d never reached (total %d)", point, total)
-							}
-							if _, ok := r.(crashNow); !ok {
-								panic(r)
-							}
-						}()
-						s, err := OpenStore(dir, crashOpt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						// No Close: a crash leaks the fd, exactly like a
-						// real kill. The reopen below works regardless.
-						_ = playStore(s, storeTape())
-						t.Fatalf("run with kill point %d finished without crashing", point)
-					}()
-
-					s, err := OpenStore(dir, opt)
-					if err != nil {
-						t.Fatalf("recovery after kill %d: %v", point, err)
-					}
-					if err := playStore(s, storeTape()); err != nil {
-						t.Fatalf("resume after kill %d: %v", point, err)
-					}
-					if s.Digest() != want {
-						t.Errorf("kill point %d: digest %016x, uncrashed %016x",
-							point, s.Digest(), want)
-					}
-					s.Close()
-				})
-			}
 		})
 	}
 }
@@ -380,5 +378,72 @@ func TestCheckpointFileCorruption(t *testing.T) {
 	}
 	if rt3.Digest() != r.Digest() {
 		t.Fatalf("legacy restore digest %016x, want %016x", rt3.Digest(), r.Digest())
+	}
+}
+
+// TestCheckpointFileIgnoresRetiredEngineKey pins that durable directories
+// written while Options still carried a dispatch-engine kind reopen: their
+// framed checkpoints hold an "engine" key under options, which the framed
+// reader ignores. The strict raw-JSON reader (Restore) rejects the key,
+// and a negative epoch length in the options is rejected as corrupt.
+func TestCheckpointFileIgnoresRetiredEngineKey(t *testing.T) {
+	r := mkRuntime(t, Options{Seed: 5})
+	mustAdd(t, r, TaskSpec{Task: mkTask("a", 20, 6, 2)})
+	if _, err := r.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	// withOption re-encodes the snapshot with one options key set to raw.
+	withOption := func(key, raw string) []byte {
+		t.Helper()
+		payload, err := json.Marshal(&FileCheckpoint{WALIndex: 3, EventsApplied: 1, Checkpoint: r.Checkpoint()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top, cp, opts map[string]json.RawMessage
+		if err := json.Unmarshal(payload, &top); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(top["checkpoint"], &cp); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(cp["options"], &opts); err != nil {
+			t.Fatal(err)
+		}
+		opts[key] = json.RawMessage(raw)
+		remarshal := func(m map[string]json.RawMessage) json.RawMessage {
+			out, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		cp["options"] = remarshal(opts)
+		top["checkpoint"] = remarshal(cp)
+		return remarshal(top)
+	}
+
+	old := withOption("engine", "0")
+	fc, rt, err := DecodeCheckpointFile(frameCheckpoint(old))
+	if err != nil {
+		t.Fatalf("framed checkpoint with the retired engine key rejected: %v", err)
+	}
+	if fc.WALIndex != 3 || rt.Digest() != r.Digest() || rt.Epoch() != r.Epoch() {
+		t.Fatalf("restored %+v at epoch %d digest %016x, want epoch %d digest %016x",
+			fc, rt.Epoch(), rt.Digest(), r.Epoch(), r.Digest())
+	}
+
+	var cp struct {
+		Checkpoint json.RawMessage `json:"checkpoint"`
+	}
+	if err := json.Unmarshal(old, &cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(bytes.NewReader(cp.Checkpoint)); !errors.Is(err, ErrCheckpointCorrupt) ||
+		!strings.Contains(err.Error(), `unknown field "engine"`) {
+		t.Fatalf("raw snapshot with the retired engine key: %v, want unknown field \"engine\"", err)
+	}
+
+	if _, _, err := DecodeCheckpointFile(frameCheckpoint(withOption("epoch_hyperperiods", "-3"))); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("negative epoch_hyperperiods returned %v, want ErrCheckpointCorrupt", err)
 	}
 }

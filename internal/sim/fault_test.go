@@ -91,36 +91,34 @@ func TestFaultPlanDeterministicAndOrderIndependent(t *testing.T) {
 // field except the Faults accounting block is bit-identical.
 func TestNoFaultBitIdentical(t *testing.T) {
 	s := loadedSet(t)
-	for _, eng := range []EngineKind{EngineIndexed, EngineLinearScan} {
-		base := Config{
-			Hyperperiods: 25, Sampler: NewRandomSampler(s, 7),
-			TraceLimit: -1, DropLate: true, Engine: eng,
-		}
-		clean, err := Run(s, &edfPolicy{mode: task.Imprecise}, base)
+	base := Config{
+		Hyperperiods: 25, Sampler: NewRandomSampler(s, 7),
+		TraceLimit: -1, DropLate: true,
+	}
+	clean, err := Run(s, &edfPolicy{mode: task.Imprecise}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range Containments() {
+		cfg := base
+		cfg.Sampler = NewRandomSampler(s, 7)
+		cfg.Faults = NewFaultPlan(11, FaultRates{})
+		cfg.Containment = c
+		faulted, err := Run(s, &edfPolicy{mode: task.Imprecise}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range Containments() {
-			cfg := base
-			cfg.Sampler = NewRandomSampler(s, 7)
-			cfg.Faults = NewFaultPlan(11, FaultRates{})
-			cfg.Containment = c
-			faulted, err := Run(s, &edfPolicy{mode: task.Imprecise}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if faulted.Faults == nil {
-				t.Fatal("zero-rate plan should still produce a Faults block")
-			}
-			if faulted.Faults.Total != (TaskFaultStats{}) {
-				t.Errorf("zero-rate plan injected faults: %+v", faulted.Faults.Total)
-			}
-			cp := *faulted
-			cp.Faults = nil
-			if !reflect.DeepEqual(clean, &cp) {
-				t.Errorf("engine %v containment %v: zero-rate run differs from fault-free run\nclean:   %v\nfaulted: %v",
-					eng, c, clean, &cp)
-			}
+		if faulted.Faults == nil {
+			t.Fatal("zero-rate plan should still produce a Faults block")
+		}
+		if faulted.Faults.Total != (TaskFaultStats{}) {
+			t.Errorf("zero-rate plan injected faults: %+v", faulted.Faults.Total)
+		}
+		cp := *faulted
+		cp.Faults = nil
+		if !reflect.DeepEqual(clean, &cp) {
+			t.Errorf("containment %v: zero-rate run differs from fault-free run\nclean:   %v\nfaulted: %v",
+				c, clean, &cp)
 		}
 	}
 }
@@ -305,28 +303,6 @@ func TestDowngradeRecovery(t *testing.T) {
 			}
 			break
 		}
-	}
-}
-
-func TestEnginesAgreeUnderFaults(t *testing.T) {
-	s := loadedSet(t)
-	mk := func(eng EngineKind) *Result {
-		res, err := Run(s, &edfPolicy{mode: task.Accurate}, Config{
-			Hyperperiods: 120, TraceLimit: -1, DropLate: true,
-			Sampler:     NewRandomSampler(s, 31),
-			Faults:      NewFaultPlan(19, FaultRates{OverrunProb: 0.06, AbortProb: 0.04, DropProb: 0.04}),
-			Containment: DowngradeOnOverrun,
-			Engine:      eng,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := mk(EngineIndexed), mk(EngineLinearScan)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("engines disagree under faults:\nindexed: %v %v\nlinear:  %v %v",
-			a, a.Faults, b, b.Faults)
 	}
 }
 

@@ -2,20 +2,6 @@ package sim
 
 import "nprt/internal/task"
 
-// EngineKind names a dispatch core. Both kinds run the same core, the
-// linear pending set below: it is the fastest core measured at the sizes the
-// paper and the benchmark workloads simulate (docs/ALGORITHMS.md §6). The
-// kind is kept because checkpoints, command-line flags and per-engine test
-// variants name it; it selects nothing.
-type EngineKind uint8
-
-const (
-	// EngineIndexed is the default kind.
-	EngineIndexed EngineKind = iota
-	// EngineLinearScan is the other kind; it runs the same core.
-	EngineLinearScan
-)
-
 // pendingQueue is the engine's released-but-unexecuted job set: an
 // unordered slice, walked on every EDF pick, release-time query and keyed
 // removal. The simulated sets keep a handful of jobs pending (about four on

@@ -178,10 +178,6 @@ type Config struct {
 	// periodic release times (the offline+OA family) are rejected under
 	// jitter.
 	Jitter JitterSampler
-	// Engine names the dispatch core. Both kinds run the same linear
-	// pending set (see EngineKind); the field is kept for the checkpoints
-	// and flags that record it.
-	Engine EngineKind
 	// Faults, when non-nil, injects model violations: WCET overruns,
 	// mid-execution aborts and dropped releases (see FaultPlan). With
 	// Faults nil — the default — every fault code path is skipped and runs

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Run the crash-point sweep: build impserve, then re-execute it with a
 # kill at every fsync boundary of a seeded churn-tape run and verify each
-# recovery reaches the uncrashed digest, on both dispatch engines. This is
-# the mechanical proof behind the crash-only durable store (see
-# docs/ALGORITHMS.md §10); a nonzero exit means some kill point did NOT
-# recover bit-identically.
+# recovery reaches the uncrashed digest. This is the mechanical proof
+# behind the crash-only durable store (see docs/ALGORITHMS.md §10); a
+# nonzero exit means some kill point did NOT recover bit-identically.
 #
 # usage: scripts/crash_sweep.sh [out.json] [events] [seed]
 #

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Run the churn soak against the long-running scheduler runtime and write
 # the JSON/CSV artifact. The soak replays deterministic admission-control
-# event tapes (adds, removes, overload windows) on both dispatch engines
-# and fails if an admitted set misses a deadline outside a declared
-# degraded window, or if the engines' digests diverge.
+# event tapes (adds, removes, overload windows) and fails if an admitted
+# set misses a deadline outside a declared degraded window.
 #
 # usage: scripts/soak.sh [outdir] [events]
 #

@@ -6,10 +6,8 @@ package nprt
 // error accumulator and of every per-task error and response accumulator —
 // into one FNV-1a word. The runs mirror perfbench's plan-paper workload:
 // the seven Table I methods, 100 hyper-periods, DropLate for EDF-Accurate.
-// Every digest is pinned for both dispatch engines, so the table is also
-// the cross-engine golden: a change to the dispatch core (or to anything
-// else under the simulator) that reorders one floating-point addition
-// fails here.
+// A change to the dispatch core (or to anything else under the simulator)
+// that reorders one floating-point addition fails here.
 
 import (
 	"fmt"
@@ -18,8 +16,13 @@ import (
 	"reflect"
 	"testing"
 
+	"nprt/internal/cumulative"
+	"nprt/internal/esr"
+	"nprt/internal/offline"
+	"nprt/internal/policy"
 	"nprt/internal/sim"
 	"nprt/internal/stats"
+	"nprt/internal/task"
 	"nprt/internal/workload"
 )
 
@@ -29,8 +32,28 @@ var tableIMethods = []string{
 	"ILP+OA", "ILP+Post+OA", "Flipped EDF",
 }
 
-// tableISimGolden maps "case/method/seed" to the digest of the run; the
-// indexed and the linear-scan engine must both produce it.
+// buildMethodPolicy builds the policy a Table I method name stands for.
+func buildMethodPolicy(method string, s *task.Set) (sim.Policy, error) {
+	switch method {
+	case "EDF-Accurate":
+		return policy.NewEDFAccurate(), nil
+	case "EDF-Imprecise":
+		return policy.NewEDFImprecise(), nil
+	case "EDF+ESR":
+		return esr.New(), nil
+	case "EDF+ESR(C)":
+		return cumulative.NewESR(), nil
+	case "ILP+OA":
+		return offline.NewILPOABestEffort(s)
+	case "ILP+Post+OA":
+		return offline.NewILPPostOABestEffort(s)
+	case "Flipped EDF":
+		return offline.NewFlippedEDFBestEffort(s)
+	}
+	return nil, fmt.Errorf("unknown method %q", method)
+}
+
+// tableISimGolden maps "case/method/seed" to the digest of the run.
 var tableISimGolden = map[string]uint64{
 	"Rnd1/EDF-Accurate/1": 0x7d620d24a7905804, "Rnd1/EDF-Accurate/7": 0xd03ad1cc79bb6afe,
 	"Rnd1/EDF-Imprecise/1": 0xe0e50fda1c70fd9a, "Rnd1/EDF-Imprecise/7": 0x182c1d5a22a47006,
@@ -174,11 +197,11 @@ func simDigest(r *sim.Result) uint64 {
 	return h.Sum64()
 }
 
-// TestTableISimulationGoldens runs 14 cases × 7 methods × seeds 1 and 7 on
-// both engines and compares each run's digest with the recorded golden.
+// TestTableISimulationGoldens runs 14 cases × 7 methods × seeds 1 and 7 and
+// compares each run's digest with the recorded golden.
 func TestTableISimulationGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("Table I simulation goldens: 392 runs of 100 hyper-periods")
+		t.Skip("Table I simulation goldens: 196 runs of 100 hyper-periods")
 	}
 	cases, err := workload.CachedCases()
 	if err != nil {
@@ -187,10 +210,6 @@ func TestTableISimulationGoldens(t *testing.T) {
 	if len(cases) != 14 {
 		t.Fatalf("%d cases, want 14", len(cases))
 	}
-	engines := []struct {
-		name string
-		kind sim.EngineKind
-	}{{"indexed", sim.EngineIndexed}, {"linear", sim.EngineLinearScan}}
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
@@ -200,31 +219,28 @@ func TestTableISimulationGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, method := range tableIMethods {
-				p, err := buildDiffPolicy(method, s)
+				p, err := buildMethodPolicy(method, s)
 				if err != nil {
 					t.Fatalf("%s: %v", method, err)
 				}
 				for _, seed := range []uint64{1, 7} {
 					key := fmt.Sprintf("%s/%s/%d", c.Name, method, seed)
 					want, ok := tableISimGolden[key]
-					for _, e := range engines {
-						res, err := sim.Run(s, p, sim.Config{
-							Hyperperiods: 100,
-							Sampler:      sim.NewRandomSampler(s, seed),
-							DropLate:     method == "EDF-Accurate",
-							Engine:       e.kind,
-						})
-						if err != nil {
-							t.Fatalf("%s %s: %v", key, e.name, err)
-						}
-						got := simDigest(res)
-						switch {
-						case !ok:
-							t.Errorf("%q: %#x, // %s: no golden recorded", key, got, e.name)
-						case got != want:
-							t.Errorf("%s %s: digest %#x, golden %#x (jobs %d, misses %d)",
-								key, e.name, got, want, res.Jobs, res.Misses.Events)
-						}
+					res, err := sim.Run(s, p, sim.Config{
+						Hyperperiods: 100,
+						Sampler:      sim.NewRandomSampler(s, seed),
+						DropLate:     method == "EDF-Accurate",
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					got := simDigest(res)
+					switch {
+					case !ok:
+						t.Errorf("%q: %#x, // no golden recorded", key, got)
+					case got != want:
+						t.Errorf("%s: digest %#x, golden %#x (jobs %d, misses %d)",
+							key, got, want, res.Jobs, res.Misses.Events)
 					}
 				}
 			}
