@@ -1,13 +1,16 @@
 package nprt
 
-// Differential test for the simulator's dispatch core: the indexed-heap
-// engine (EngineIndexed, the default) must produce bit-identical Results to
-// the retained linear-scan reference (EngineLinearScan) for every policy
-// family, every cached testcase, several seeds, and sporadic (jittered)
-// releases. "Bit-identical" is literal: job counts, miss counters, Welford
-// accumulator states (mean, M2, min, max), mode counts, busy time and the
-// execution trace are compared field by field, so even a reordering of
-// floating-point additions would fail the test.
+// Differential test for the simulator's dispatch core across run
+// histories. sim.Run recycles its run state (pending set, release queue,
+// per-task slices) through a pool and resets the policy it is handed, so a
+// run must not depend on what ran before it: one long-lived policy instance
+// runs every seed forward and then again in reverse, and the two runs of
+// each seed must be bit-identical. "Bit-identical" is literal: job counts,
+// miss counters, Welford accumulator states (mean, M2, min, max), mode
+// counts, busy time and the execution trace are compared field by field,
+// so even a reordering of floating-point additions would fail the test.
+// The cases run in parallel, so pooled state also moves between task sets
+// of different sizes.
 
 import (
 	"fmt"
@@ -15,7 +18,6 @@ import (
 
 	"nprt/internal/cumulative"
 	"nprt/internal/esr"
-	"nprt/internal/offline"
 	"nprt/internal/policy"
 	"nprt/internal/sim"
 	"nprt/internal/stats"
@@ -26,16 +28,13 @@ import (
 var diffSeeds = []uint64{1, 2, 3}
 
 // diffPolicies builds one long-lived policy instance per method for a set;
-// sim.Run resets policies, so each instance serves every (engine, seed)
-// combination — offline schedules are built once, not per run.
+// sim.Run resets policies, so each instance serves every run of the set —
+// offline schedules are built once, not per run.
 func diffPolicies(t *testing.T, s *task.Set) map[string]sim.Policy {
 	t.Helper()
 	ps := map[string]sim.Policy{}
-	for _, m := range []string{
-		"EDF-Accurate", "EDF-Imprecise", "EDF+ESR", "EDF+ESR(C)",
-		"ILP+OA", "ILP+Post+OA", "Flipped EDF",
-	} {
-		p, err := buildDiffPolicy(m, s)
+	for _, m := range tableIMethods {
+		p, err := buildMethodPolicy(m, s)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -45,24 +44,27 @@ func diffPolicies(t *testing.T, s *task.Set) map[string]sim.Policy {
 	return ps
 }
 
-func buildDiffPolicy(method string, s *task.Set) (sim.Policy, error) {
-	switch method {
-	case "EDF-Accurate":
-		return policy.NewEDFAccurate(), nil
-	case "EDF-Imprecise":
-		return policy.NewEDFImprecise(), nil
-	case "EDF+ESR":
-		return esr.New(), nil
-	case "EDF+ESR(C)":
-		return cumulative.NewESR(), nil
-	case "ILP+OA":
-		return offline.NewILPOABestEffort(s)
-	case "ILP+Post+OA":
-		return offline.NewILPPostOABestEffort(s)
-	case "Flipped EDF":
-		return offline.NewFlippedEDFBestEffort(s)
+// requireHistoryFree runs p once per seed in diffSeeds order, then once per
+// seed in reverse order, and requires each seed's two Results to be
+// identical. mk builds a fresh Config (sampler, jitter) for a seed.
+func requireHistoryFree(t *testing.T, label string, s *task.Set, p sim.Policy, mk func(seed uint64) sim.Config) {
+	t.Helper()
+	first := map[uint64]*sim.Result{}
+	for _, seed := range diffSeeds {
+		res, err := sim.Run(s, p, mk(seed))
+		if err != nil {
+			t.Fatalf("%s seed %d forward: %v", label, seed, err)
+		}
+		first[seed] = res
 	}
-	return nil, fmt.Errorf("unknown method %q", method)
+	for i := len(diffSeeds) - 1; i >= 0; i-- {
+		seed := diffSeeds[i]
+		res, err := sim.Run(s, p, mk(seed))
+		if err != nil {
+			t.Fatalf("%s seed %d reverse: %v", label, seed, err)
+		}
+		requireIdentical(t, fmt.Sprintf("%s/seed%d", label, seed), first[seed], res)
+	}
 }
 
 // requireIdentical compares every field of two Results, including the
@@ -73,7 +75,7 @@ func requireIdentical(t *testing.T, label string, a, b *sim.Result) {
 		a.Accurate != b.Accurate || a.Imprecise != b.Imprecise ||
 		a.Busy != b.Busy || a.Horizon != b.Horizon || a.Aborted != b.Aborted ||
 		a.MaxLateness != b.MaxLateness {
-		t.Fatalf("%s: scalar fields differ:\n  indexed: %+v\n  linear:  %+v", label, a, b)
+		t.Fatalf("%s: scalar fields differ:\n  first:  %+v\n  second: %+v", label, a, b)
 	}
 	if a.Error != b.Error {
 		t.Fatalf("%s: error accumulators differ: %v±%v(n=%d) vs %v±%v(n=%d)", label,
@@ -84,14 +86,14 @@ func requireIdentical(t *testing.T, label string, a, b *sim.Result) {
 	requireAccsEqual(t, label+"/PerTaskResponse", a.PerTaskResponse, b.PerTaskResponse)
 	switch {
 	case (a.Trace == nil) != (b.Trace == nil):
-		t.Fatalf("%s: one engine recorded a trace, the other did not", label)
+		t.Fatalf("%s: one run recorded a trace, the other did not", label)
 	case a.Trace != nil:
 		if a.Trace.Len() != b.Trace.Len() {
 			t.Fatalf("%s: trace lengths differ: %d vs %d", label, a.Trace.Len(), b.Trace.Len())
 		}
 		for i := range a.Trace.Entries {
 			if a.Trace.Entries[i] != b.Trace.Entries[i] {
-				t.Fatalf("%s: trace entry %d differs:\n  indexed: %+v\n  linear:  %+v",
+				t.Fatalf("%s: trace entry %d differs:\n  first:  %+v\n  second: %+v",
 					label, i, a.Trace.Entries[i], b.Trace.Entries[i])
 			}
 		}
@@ -110,9 +112,8 @@ func requireAccsEqual(t *testing.T, label string, a, b []stats.Accumulator) {
 	}
 }
 
-// TestEngineDifferentialAllCases pits the indexed engine against the
-// linear-scan reference on all 14 cached cases, all policy families and
-// three seeds, with traces on.
+// TestEngineDifferentialAllCases checks history independence on all 14
+// cached cases, all policy families and three seeds, with traces on.
 func TestEngineDifferentialAllCases(t *testing.T) {
 	cases, err := workload.CachedCases()
 	if err != nil {
@@ -130,33 +131,20 @@ func TestEngineDifferentialAllCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			for method, p := range diffPolicies(t, s) {
-				for _, seed := range diffSeeds {
-					mk := func(engine sim.EngineKind) sim.Config {
-						return sim.Config{
-							Hyperperiods: 10,
-							Sampler:      sim.NewRandomSampler(s, seed),
-							DropLate:     method == "EDF-Accurate",
-							TraceLimit:   200,
-							Engine:       engine,
-						}
+				requireHistoryFree(t, c.Name+"/"+method, s, p, func(seed uint64) sim.Config {
+					return sim.Config{
+						Hyperperiods: 10,
+						Sampler:      sim.NewRandomSampler(s, seed),
+						DropLate:     method == "EDF-Accurate",
+						TraceLimit:   200,
 					}
-					indexed, err := sim.Run(s, p, mk(sim.EngineIndexed))
-					if err != nil {
-						t.Fatalf("%s seed %d indexed: %v", method, seed, err)
-					}
-					linear, err := sim.Run(s, p, mk(sim.EngineLinearScan))
-					if err != nil {
-						t.Fatalf("%s seed %d linear: %v", method, seed, err)
-					}
-					requireIdentical(t, fmt.Sprintf("%s/%s/seed%d", c.Name, method, seed),
-						indexed, linear)
-				}
+				})
 			}
 		})
 	}
 }
 
-// TestEngineDifferentialSporadic repeats the comparison under sporadic
+// TestEngineDifferentialSporadic repeats the check under sporadic
 // (jittered) releases for the online policies; the offline+OA family
 // rejects jitter by design.
 func TestEngineDifferentialSporadic(t *testing.T) {
@@ -178,7 +166,7 @@ func TestEngineDifferentialSporadic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Jitter on every task: up to 30% of the shortest period.
+			// Jitter on every task: up to 30% of its period.
 			dists := make([]task.Dist, s.Len())
 			for i := range dists {
 				scale := float64(s.Task(i).Period) * 0.3
@@ -186,35 +174,21 @@ func TestEngineDifferentialSporadic(t *testing.T) {
 			}
 			for _, mkPolicy := range online {
 				p := mkPolicy()
-				for _, seed := range diffSeeds {
-					mk := func(engine sim.EngineKind) sim.Config {
-						return sim.Config{
-							Hyperperiods: 6,
-							Sampler:      sim.NewRandomSampler(s, seed),
-							Jitter:       sim.NewRandomJitter(s, dists, seed),
-							TraceLimit:   200,
-							Engine:       engine,
-						}
+				requireHistoryFree(t, c.Name+"/"+p.Name()+"/sporadic", s, p, func(seed uint64) sim.Config {
+					return sim.Config{
+						Hyperperiods: 6,
+						Sampler:      sim.NewRandomSampler(s, seed),
+						Jitter:       sim.NewRandomJitter(s, dists, seed),
+						TraceLimit:   200,
 					}
-					indexed, err := sim.Run(s, p, mk(sim.EngineIndexed))
-					if err != nil {
-						t.Fatalf("%s seed %d indexed: %v", p.Name(), seed, err)
-					}
-					linear, err := sim.Run(s, p, mk(sim.EngineLinearScan))
-					if err != nil {
-						t.Fatalf("%s seed %d linear: %v", p.Name(), seed, err)
-					}
-					requireIdentical(t, fmt.Sprintf("%s/%s/seed%d/sporadic", c.Name, p.Name(), seed),
-						indexed, linear)
-				}
+				})
 			}
 		})
 	}
 }
 
 // TestEngineDifferentialDropLateStress drives an overloaded set through the
-// DropLate shedding path, where the indexed engine sheds from the heap top
-// instead of rescanning, across seeds and both a periodic and a jittered
+// DropLate shedding path, across seeds and both a periodic and a jittered
 // release pattern.
 func TestEngineDifferentialDropLateStress(t *testing.T) {
 	s, err := task.New([]task.Task{
@@ -225,33 +199,20 @@ func TestEngineDifferentialDropLateStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range diffSeeds {
-		for _, sporadic := range []bool{false, true} {
-			mk := func(engine sim.EngineKind) sim.Config {
+	for _, sporadic := range []bool{false, true} {
+		requireHistoryFree(t, fmt.Sprintf("droplate/sporadic=%v", sporadic), s, policy.NewEDFAccurate(),
+			func(seed uint64) sim.Config {
 				cfg := sim.Config{
 					Hyperperiods: 50,
 					Sampler:      sim.NewRandomSampler(s, seed),
 					DropLate:     true,
 					TraceLimit:   -1,
-					Engine:       engine,
 				}
 				if sporadic {
 					dists := []task.Dist{{Mean: 2, Sigma: 1, Min: 0, Max: 4}, {}, {Mean: 1, Sigma: 1, Min: 0, Max: 3}}
 					cfg.Jitter = sim.NewRandomJitter(s, dists, seed)
 				}
 				return cfg
-			}
-			p := policy.NewEDFAccurate()
-			indexed, err := sim.Run(s, p, mk(sim.EngineIndexed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			linear, err := sim.Run(s, p, mk(sim.EngineLinearScan))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdentical(t, fmt.Sprintf("droplate/seed%d/sporadic=%v", seed, sporadic),
-				indexed, linear)
-		}
+			})
 	}
 }

@@ -259,6 +259,12 @@ func TestClusterRefusesFewerReplicas(t *testing.T) {
 // after, from the byte-identical promoted follower. No boundary may yield
 // zero or two holders of any task.
 func TestPromotionCrashSweep(t *testing.T) {
+	// One pass, under the subtest name it had when the sweep ran once
+	// per dispatch engine, so the sweep's test names stay stable.
+	t.Run("engine=0", promotionCrashSweep)
+}
+
+func promotionCrashSweep(t *testing.T) {
 	base := func(prim journal.Injector) cluster.Options {
 		o := replicated(prim, nil)
 		o.Store.NoSync = false // strict sync: the sweep counts real boundaries
