@@ -344,19 +344,16 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkILPOffline measures the offline mode-ILP solver stack on the
-// paper's four largest cases under a fixed branch-and-bound node budget.
-// Three stacks:
+// BenchmarkILPOffline measures the offline mode-ILP branch and bound on the
+// paper's four largest cases under a fixed node budget, in two
+// configurations:
 //
-//   - legacy: the pre-overhaul solver — bounds spelled as dense constraint
-//     rows in both the base model and the branching, no primal heuristic,
-//     serial;
-//   - new: native variable bounds, pooled tableaus, root heuristic, serial;
+//   - new: native variable bounds, warm re-solves, root heuristic, serial;
 //   - parallel: new with the LP-relaxation worker pool.
 //
-// The node budget makes every stack explore the same number of nodes
-// (bit-identical search on these budget-limited cases), so ns/op compares
-// pure per-node solver throughput.
+// The parallel search is bit-identical to the serial one, so both explore
+// the same tree and report the same nodes and pivots/op, and ns/op
+// compares pure per-node solver throughput.
 func BenchmarkILPOffline(b *testing.B) {
 	const nodeBudget = 200
 	for _, name := range []string{"Rnd10", "Rnd11", "Rnd12", "Rnd13"} {
@@ -366,20 +363,15 @@ func BenchmarkILPOffline(b *testing.B) {
 			b.Fatal(err)
 		}
 		stacks := []struct {
-			name  string
-			build func() *ilp.Problem
-			opt   ilp.Options
+			name string
+			opt  ilp.Options
 		}{
-			{"legacy", func() *ilp.Problem { return offline.BuildModeILPRowBounds(s, order) },
-				ilp.Options{MaxNodes: nodeBudget, DenseRowBounds: true, DisableHeuristic: true}},
-			{"new", func() *ilp.Problem { return offline.BuildModeILP(s, order) },
-				ilp.Options{MaxNodes: nodeBudget}},
-			{"parallel", func() *ilp.Problem { return offline.BuildModeILP(s, order) },
-				ilp.Options{MaxNodes: nodeBudget, Workers: runtime.NumCPU()}},
+			{"new", ilp.Options{MaxNodes: nodeBudget}},
+			{"parallel", ilp.Options{MaxNodes: nodeBudget, Workers: runtime.NumCPU()}},
 		}
 		for _, st := range stacks {
 			b.Run(name+"/"+st.name, func(b *testing.B) {
-				p := st.build()
+				p := offline.BuildModeILP(s, order)
 				b.ResetTimer()
 				var nodes, pivots int
 				for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package ilp_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -53,9 +54,8 @@ func relClose(a, b, tol float64) bool {
 
 // TestTableIGoldenAtPerfbenchBudget solves the 14 Table-I mode ILPs at the
 // plan-paper budget and holds them to the golden table: terminated cases
-// keep status and objective, budget-limited cases keep their status, every
-// incumbent is independently integral-feasible, and the exact DP optimum
-// lies inside the reported [BestBound, incumbent] bracket.
+// keep status and objective, budget-limited cases keep their status, and
+// every result passes checkAgainstDP.
 func TestTableIGoldenAtPerfbenchBudget(t *testing.T) {
 	names, models := tableIModels(t)
 	cases, err := workload.CachedCases()
@@ -78,26 +78,44 @@ func TestTableIGoldenAtPerfbenchBudget(t *testing.T) {
 		if (g.status == ilp.Optimal || g.status == ilp.Infeasible) && !relClose(sol.Objective, g.objective, 1e-9) {
 			t.Errorf("%s: objective %.17g, golden %.17g", g.name, sol.Objective, g.objective)
 		}
-		if g.status == ilp.Infeasible {
-			continue
+		checkAgainstDP(t, g.name, cases[i], p, sol)
+	}
+}
+
+// checkAgainstDP holds one solve of a Table-I mode ILP to oracles that
+// share no code with the branch and bound. The exact DP must agree on
+// infeasibility; otherwise the incumbent must pass integralFeasible and
+// the DP optimum must lie inside the reported [BestBound, incumbent]
+// bracket.
+func checkAgainstDP(t *testing.T, name string, c *workload.Case, p *ilp.Problem, sol *ilp.Solution) {
+	t.Helper()
+	s := c.MustSet()
+	order, err := offline.EDFOrder(s, task.Deepest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dp, err := offline.OptimizeModes(s, order)
+	switch sol.Status {
+	case ilp.Infeasible:
+		if !errors.Is(err, offline.ErrInfeasible) {
+			t.Errorf("%s: search reports infeasible, exact DP: optimum %.9f, err %v", name, dp, err)
 		}
-		if !integralFeasible(p, sol.X) {
-			t.Errorf("%s: incumbent fails the independent feasibility check", g.name)
-		}
-		s := cases[i].MustSet()
-		order, err := offline.EDFOrder(s, task.Deepest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, dp, err := offline.OptimizeModes(s, order)
-		if err != nil {
-			t.Fatalf("%s: exact DP: %v", g.name, err)
-		}
-		const tol = 1e-6
-		if dp < sol.BestBound-tol*(1+math.Abs(dp)) || dp > sol.Objective+tol*(1+math.Abs(dp)) {
-			t.Errorf("%s: exact DP optimum %.9f outside [BestBound %.9f, incumbent %.9f]",
-				g.name, dp, sol.BestBound, sol.Objective)
-		}
+		return
+	case ilp.Optimal, ilp.Feasible:
+	default:
+		t.Errorf("%s: status %v, want an incumbent or a proof of infeasibility", name, sol.Status)
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: exact DP: %v", name, err)
+	}
+	if !integralFeasible(p, sol.X) {
+		t.Errorf("%s: incumbent fails the independent feasibility check", name)
+	}
+	const tol = 1e-6
+	if dp < sol.BestBound-tol*(1+math.Abs(dp)) || dp > sol.Objective+tol*(1+math.Abs(dp)) {
+		t.Errorf("%s: exact DP optimum %.9f outside [BestBound %.9f, incumbent %.9f]",
+			name, dp, sol.BestBound, sol.Objective)
 	}
 }
 

@@ -15,8 +15,8 @@ const heurTol = 1e-6
 // to its nearest integer and re-solves. Any integral point found becomes
 // the starting incumbent, which lets the best-first search prune
 // aggressively from the first node. The heuristic is a pure function of the
-// root relaxation and runs identically under every Workers setting and
-// bound encoding, preserving the solver's determinism guarantee.
+// root relaxation and runs identically under every Workers setting,
+// preserving the solver's determinism guarantee.
 func (st *bbState) heuristic(root *node) error {
 	xr := roundIntegral(st.p, root.sol.X)
 	if st.roundingFeasible(xr) {
@@ -62,13 +62,13 @@ func (st *bbState) roundingFeasible(x []float64) bool {
 }
 
 // dive fixes one fractional variable per iteration (to its nearest integer,
-// via a ≥/≤ pair chained onto temporary nodes so both bound encodings share
-// the code path) and re-solves. When the nearest integer cuts off every
-// solution the dive retries the other side of the fraction before giving
-// up — on the offline mode ILP that one-step backtrack is what turns an
-// infeasible round-down (accurate mode misses a deadline) into the always-
-// feasible round-up (imprecise mode), so the dive reliably produces a
-// starting incumbent. Dive nodes never enter the open heap.
+// via a ≥/≤ pair chained onto temporary nodes that nodeProblem materializes
+// like any search node) and re-solves. When the nearest integer cuts off
+// every solution the dive retries the other side of the fraction before
+// giving up — on the offline mode ILP that one-step backtrack is what turns
+// an infeasible round-down (accurate mode misses a deadline) into the
+// always-feasible round-up (imprecise mode), so the dive reliably produces
+// a starting incumbent. Dive nodes never enter the open heap.
 func (st *bbState) dive(root *node) error {
 	numInt := 0
 	for _, isInt := range st.p.Integer {
@@ -98,7 +98,7 @@ func (st *bbState) dive(root *node) error {
 				return err
 			}
 			st.sol.Pivots += fixed.Pivots
-			if !st.opt.DenseRowBounds && !fixed.Warm {
+			if !fixed.Warm {
 				st.sol.ColdFallbacks++
 			}
 			if fixed.Status == lp.Optimal {
@@ -114,13 +114,9 @@ func (st *bbState) dive(root *node) error {
 	return nil
 }
 
-// diveSolve solves a dive node on worker 0. The native encoding re-solves
-// warm from the solver's live tableau — the root's, or the previous
-// fix's — since the dive is serial and runs before the search; the
-// dense-row encoding changes the rows and stays cold.
+// diveSolve solves a dive node on worker 0, warm from the solver's live
+// tableau — the root's, or the previous fix's — since the dive is serial
+// and runs before the search.
 func (st *bbState) diveSolve(nd *node) (*lp.Solution, error) {
-	if st.opt.DenseRowBounds {
-		return st.solveNodeDense(0, nd)
-	}
 	return st.solvers[0].Resolve(st.nodeProblem(0, nd))
 }

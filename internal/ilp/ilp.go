@@ -13,9 +13,8 @@
 // warm from the live tableau, and every node restores the root's optimal
 // tableau and re-solves it with lp.Solver.Resolve's dual simplex. Tie
 // weights on the integral variables make each relaxation's vertex
-// independent of that pivot path. The historical dense-row encoding is
-// retained, cold, behind Options.DenseRowBounds and proven
-// result-equivalent by the package's differential tests. The search can
+// independent of that pivot path. The package's differential tests check
+// the search against exhaustive enumeration of the binaries. The search can
 // fan LP relaxation solves over a bounded worker pool (Options.Workers);
 // sequence-numbered tie-breaking keeps the explored node order — and
 // therefore the incumbent, objective, node count, BestBound and Status —
@@ -97,11 +96,6 @@ type Options struct {
 	// (A TimeLimit is the one wall-clock-dependent budget; runs that rely
 	// on bit-identical output should bound MaxNodes instead.)
 	Workers int
-	// DenseRowBounds encodes each branching bound as a dense constraint
-	// row appended to the node's LP, the pre-bounded-simplex formulation,
-	// and solves every relaxation cold. Kept for differential testing;
-	// slower, identical results.
-	DenseRowBounds bool
 	// DisableHeuristic skips the root rounding/diving primal heuristic.
 	DisableHeuristic bool
 	// OnIncumbent, when non-nil, observes each improving integral solution.
@@ -128,7 +122,7 @@ const intTol = 1e-6
 
 // node is one branch-and-bound tree node. Its bound restrictions are the
 // chain of (j, v, upper) records up the parent links; they are materialized
-// into a bounds (or row) scratch buffer only when the node's relaxation is
+// into a bounds scratch buffer only when the node's relaxation is
 // solved, so a node costs O(1) memory regardless of depth.
 type node struct {
 	parent *node
@@ -167,31 +161,6 @@ type bbState struct {
 	baseLo, baseUp []float64
 	lo, up         [][]float64 // per-worker materialized bounds
 	chains         [][]*node   // per-worker chain-collection scratch
-	dense          []denseScratch
-}
-
-// denseScratch pools the row and coefficient buffers of the legacy
-// dense-row encoding (one per worker).
-type denseScratch struct {
-	rows  []lp.Constraint
-	coefs [][]float64
-	set   []int // index last set to 1 in coefs[i]; -1 when fresh
-}
-
-// coef returns the i-th pooled coefficient vector: all zeros except a 1 at
-// column j. Only the previously set entry is cleared, so reuse is O(1).
-func (d *denseScratch) coef(n, i, j int) []float64 {
-	for len(d.coefs) <= i {
-		d.coefs = append(d.coefs, make([]float64, n))
-		d.set = append(d.set, -1)
-	}
-	c := d.coefs[i]
-	if d.set[i] >= 0 {
-		c[d.set[i]] = 0
-	}
-	c[j] = 1
-	d.set[i] = j
-	return c
 }
 
 // Solve runs best-first branch and bound.
@@ -231,7 +200,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 	st.lo = make([][]float64, workers)
 	st.up = make([][]float64, workers)
 	st.chains = make([][]*node, workers)
-	st.dense = make([]denseScratch, workers)
 	for w := 0; w < workers; w++ {
 		st.solvers[w] = new(lp.Solver)
 		st.lo[w] = make([]float64, n)
@@ -248,9 +216,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		return nil, err
 	}
 	root.sol = rootSol
-	if !opt.DenseRowBounds {
-		st.rootSnap = st.solvers[0].Snapshot()
-	}
+	st.rootSnap = st.solvers[0].Snapshot()
 	if !opt.DisableHeuristic && rootSol.Status == lp.Optimal {
 		if err := st.heuristic(root); err != nil {
 			return nil, err
@@ -320,7 +286,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 			nd.sol = nil
 			sol.Nodes++
 			sol.Pivots += rel.Pivots
-			if !opt.DenseRowBounds && nd.parent != nil && !rel.Warm {
+			if nd.parent != nil && !rel.Warm {
 				sol.ColdFallbacks++
 			}
 			switch rel.Status {
@@ -403,9 +369,6 @@ func (st *bbState) tryIncumbent(x []float64, obj float64) {
 // bound chain, so the result is a pure function of the chain whichever
 // worker runs it and whatever that worker solved before.
 func (st *bbState) solveNode(w int, nd *node) (*lp.Solution, error) {
-	if st.opt.DenseRowBounds {
-		return st.solveNodeDense(w, nd)
-	}
 	sub := st.nodeProblem(w, nd)
 	sv := st.solvers[w]
 	if nd.parent == nil {
@@ -440,37 +403,12 @@ func (st *bbState) nodeProblem(w int, nd *node) *lp.Problem {
 	return &lp.Problem{NumVars: st.p.LP.NumVars, C: st.p.LP.C, Rows: st.p.LP.Rows, Lo: lo, Up: up, Tie: st.tie}
 }
 
-// solveNodeDense is the retained legacy encoding: every branching bound
-// becomes a dense single-variable row appended to the base model, in
-// root-to-leaf order (the historical formulation).
-func (st *bbState) solveNodeDense(w int, nd *node) (*lp.Solution, error) {
-	ch := st.chains[w][:0]
-	for x := nd; x != nil && x.j >= 0; x = x.parent {
-		ch = append(ch, x)
-	}
-	st.chains[w] = ch
-	d := &st.dense[w]
-	rows := append(d.rows[:0], st.p.LP.Rows...)
-	n := st.p.LP.NumVars
-	for i := len(ch) - 1; i >= 0; i-- {
-		b := ch[i]
-		sense := lp.GE
-		if b.upper {
-			sense = lp.LE
-		}
-		rows = append(rows, lp.Constraint{Coef: d.coef(n, len(ch)-1-i, b.j), Sense: sense, RHS: b.v})
-	}
-	d.rows = rows[:0]
-	sub := lp.Problem{NumVars: n, C: st.p.LP.C, Rows: rows, Lo: st.p.LP.Lo, Up: st.p.LP.Up, Tie: st.tie}
-	return st.solvers[w].Solve(&sub)
-}
-
 // tieWeights gives each integral variable j the weight 1 + frac(j·φ), a
 // low-discrepancy sequence, and continuous variables weight 0. A model
 // with interchangeable variables (the mode ILP's jobs of one task) has
 // many optimal relaxation vertices; minimizing these weights over the
 // optimal face picks one whatever pivot path reached it, so a warm
-// re-solve, a cold solve and the dense-row encoding branch alike.
+// re-solve and a cold solve branch alike, on any worker.
 func tieWeights(p *Problem) []float64 {
 	w := make([]float64, p.LP.NumVars)
 	for j, isInt := range p.Integer {

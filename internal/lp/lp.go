@@ -90,8 +90,8 @@ func (p *Problem) AddConstraint(coef []float64, s Sense, rhs float64, name strin
 
 // AddBound appends the single-variable constraint x_j (sense) v as a dense
 // row. Prefer SetBounds, which the simplex handles natively; AddBound is
-// retained for the row-encoded legacy path that internal/ilp keeps for
-// differential testing.
+// the row-encoded reference the native bounds are tested against, and a
+// shorthand for small test models.
 func (p *Problem) AddBound(j int, s Sense, v float64, name string) {
 	row := make([]float64, p.NumVars)
 	row[j] = 1

@@ -53,41 +53,6 @@ func BuildModeILP(s *task.Set, order []task.Job) *ilp.Problem {
 	return p
 }
 
-// BuildModeILPRowBounds builds the same §IV-A program as BuildModeILP with
-// every variable bound spelled as a dense constraint row (y_k ≤ 1,
-// s_k ≥ r_k) instead of a native simplex bound — the pre-bounded-simplex
-// formulation. It is retained as the baseline for differential tests and
-// the solver benchmarks; combined with ilp.Options.DenseRowBounds and
-// DisableHeuristic it reproduces the historical solver stack exactly.
-func BuildModeILPRowBounds(s *task.Set, order []task.Job) *ilp.Problem {
-	m := len(order)
-	p := ilp.NewProblem(2 * m)
-	for k, j := range order {
-		tk := s.Task(j.TaskID)
-		p.LP.C[k] = tk.MeanError()
-		p.SetInteger(k)
-		p.LP.AddBound(k, lp.LE, 1, fmt.Sprintf("bin%d", k))
-
-		w := float64(tk.WCETAccurate)
-		x := float64(tk.WCETImprecise)
-		sVar := m + k
-
-		p.LP.AddBound(sVar, lp.GE, float64(j.Release), fmt.Sprintf("rel%d", k))
-		coef := make([]float64, 2*m)
-		coef[sVar] = 1
-		coef[k] = x - w
-		p.LP.AddConstraint(coef, lp.LE, float64(j.Deadline)-w, fmt.Sprintf("dl%d", k))
-		if k+1 < m {
-			chain := make([]float64, 2*m)
-			chain[m+k+1] = 1
-			chain[sVar] = -1
-			chain[k] = -(x - w)
-			p.LP.AddConstraint(chain, lp.GE, w, fmt.Sprintf("chain%d", k))
-		}
-	}
-	return p
-}
-
 // SolveModeILP solves the order-fixed MILP and lays out the schedule at
 // ASAP starts. It exists to honour the paper's ILP formulation end-to-end;
 // OptimizeModes computes the same optimum faster and is the default in the
@@ -98,7 +63,7 @@ func SolveModeILP(s *task.Set, order []task.Job, maxNodes int, timeLimit time.Du
 }
 
 // SolveModeILPOpt is SolveModeILP with full control over the
-// branch-and-bound (worker pool, budgets, bound encoding).
+// branch-and-bound (worker pool, budgets, heuristic).
 func SolveModeILPOpt(s *task.Set, order []task.Job, opt ilp.Options) (*Schedule, error) {
 	p := BuildModeILP(s, order)
 	sol, err := ilp.Solve(p, opt)

@@ -21,10 +21,14 @@
 // enforced by testing.AllocsPerRun in decode_test.go.
 //
 // Semantics follow the existing encoding/json handler: unknown fields are
-// rejected (DisallowUnknownFields), field names match ASCII
-// case-insensitively, null leaves the zero value, duplicate keys take the
-// last value. It is stricter about number syntax only where JSON itself is
-// (leading zeros, bare '.').
+// rejected (DisallowUnknownFields) whatever their value, null included;
+// field names match case-insensitively under encoding/json's folding; null
+// leaves a value unchanged and sets a pointer or slice to nil; a duplicate
+// key decodes into the value already there, as encoding/json does. It is
+// stricter about number syntax only where JSON itself is (leading zeros,
+// bare '.'). The one deliberate difference: a bare top-level null body,
+// which encoding/json decodes to the zero Event, is rejected with
+// `expected "{"`. FuzzDecodeEvent holds the decoder to encoding/json.
 package serve
 
 import (
@@ -48,11 +52,11 @@ type eventDecoder struct {
 	data    []byte // the bytes being parsed
 	pos     int
 	scratch []byte // string-unescape scratch
+	key     []byte // folded-key scratch
 
-	one    []runtimepkg.Event // len 1; one[0] is the scratch Event
-	spec   runtimepkg.TaskSpec
-	over   runtimepkg.OverloadSpec
-	levels []task.Level
+	one  []runtimepkg.Event // len 1; one[0] is the scratch Event
+	spec runtimepkg.TaskSpec
+	over runtimepkg.OverloadSpec
 
 	names map[string]string
 }
@@ -380,12 +384,22 @@ func (d *eventDecoder) scanNumber() ([]byte, error) {
 	return d.data[start:i], nil
 }
 
-// parseInt parses an integer-valued number into int64 (what encoding/json
+// The field parsers below (parseInt, parseUint64, parseFloat, parseName,
+// and the object parsers) decode one field value into their target. A
+// null leaves the target unchanged, as encoding/json leaves a non-pointer
+// field; pointer and slice fields, which null sets to nil, handle it in
+// their own case. They run only once an object's switch has matched the
+// key, so an unknown field is rejected whatever its value.
+
+// parseInt parses an integer-valued number into dst (what encoding/json
 // allows for an int64 target: no fraction, no exponent).
-func (d *eventDecoder) parseInt() (int64, error) {
+func parseInt[T ~int | ~int64](d *eventDecoder, dst *T) error {
+	if d.tryNull() {
+		return nil
+	}
 	tok, err := d.scanNumber()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	neg := false
 	i := 0
@@ -397,43 +411,49 @@ func (d *eventDecoder) parseInt() (int64, error) {
 	for ; i < len(tok); i++ {
 		c := tok[i]
 		if c < '0' || c > '9' {
-			return 0, d.syntaxErr("number %s is not an integer", tok)
+			return d.syntaxErr("number %s is not an integer", tok)
 		}
 		if v > (1<<63-1-9)/10+1 { // loose pre-check; exact check below
-			return 0, d.syntaxErr("integer %s overflows int64", tok)
+			return d.syntaxErr("integer %s overflows int64", tok)
 		}
 		v = v*10 + uint64(c-'0')
 	}
 	if neg {
 		if v > 1<<63 {
-			return 0, d.syntaxErr("integer %s overflows int64", tok)
+			return d.syntaxErr("integer %s overflows int64", tok)
 		}
-		return -int64(v), nil
+		*dst = T(-int64(v))
+		return nil
 	}
 	if v > 1<<63-1 {
-		return 0, d.syntaxErr("integer %s overflows int64", tok)
+		return d.syntaxErr("integer %s overflows int64", tok)
 	}
-	return int64(v), nil
+	*dst = T(v)
+	return nil
 }
 
-func (d *eventDecoder) parseUint64() (uint64, error) {
+func (d *eventDecoder) parseUint64(dst *uint64) error {
+	if d.tryNull() {
+		return nil
+	}
 	tok, err := d.scanNumber()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var v uint64
 	for i := 0; i < len(tok); i++ {
 		c := tok[i]
 		if c < '0' || c > '9' {
-			return 0, d.syntaxErr("number %s is not an unsigned integer", tok)
+			return d.syntaxErr("number %s is not an unsigned integer", tok)
 		}
 		const cutoff = (1<<64 - 1) / 10
 		if v > cutoff || (v == cutoff && c > '5') {
-			return 0, d.syntaxErr("integer %s overflows uint64", tok)
+			return d.syntaxErr("integer %s overflows uint64", tok)
 		}
 		v = v*10 + uint64(c-'0')
 	}
-	return v, nil
+	*dst = v
+	return nil
 }
 
 // pow10 holds the exactly-representable powers of ten (10^0 … 10^22).
@@ -442,20 +462,39 @@ var pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// parseFloat parses a JSON number, allocation-free for the common cases.
-func (d *eventDecoder) parseFloat() (float64, error) {
+// parseFloat parses a JSON number into dst, allocation-free for the
+// common cases.
+func (d *eventDecoder) parseFloat(dst *float64) error {
+	if d.tryNull() {
+		return nil
+	}
 	tok, err := d.scanNumber()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if f, ok := fastFloat(tok); ok {
-		return f, nil
+		*dst = f
+		return nil
 	}
 	f, err := strconv.ParseFloat(string(tok), 64) // rare slow path: allocates
 	if err != nil {
-		return 0, d.syntaxErr("number %s: %v", tok, err)
+		return d.syntaxErr("number %s: %v", tok, err)
 	}
-	return f, nil
+	*dst = f
+	return nil
+}
+
+// parseName parses a string into dst, interned.
+func (d *eventDecoder) parseName(dst *string) error {
+	if d.tryNull() {
+		return nil
+	}
+	b, err := d.parseString()
+	if err != nil {
+		return err
+	}
+	*dst = d.intern(b)
+	return nil
 }
 
 // fastFloat is the Clinger fast path: when the decimal mantissa fits in
@@ -552,7 +591,32 @@ func (d *eventDecoder) objectKeys(first *bool) ([]byte, error) {
 	if err := d.expect(':'); err != nil {
 		return nil, err
 	}
+	for _, c := range key {
+		if c >= utf8.RuneSelf {
+			return d.foldKey(key), nil
+		}
+	}
 	return key, nil
+}
+
+// foldKey rewrites the two non-ASCII runes whose case-fold set holds an
+// ASCII letter, ſ (U+017F, with s) and the Kelvin sign K (U+212A, with k),
+// to that letter, so foldEq matches every key encoding/json's folding does.
+func (d *eventDecoder) foldKey(key []byte) []byte {
+	d.key = d.key[:0]
+	for len(key) > 0 {
+		r, n := utf8.DecodeRune(key)
+		switch r {
+		case '\u017F': // ſ
+			d.key = append(d.key, 's')
+		case '\u212A': // Kelvin sign
+			d.key = append(d.key, 'k')
+		default:
+			d.key = append(d.key, key[:n]...)
+		}
+		key = key[n:]
+	}
+	return d.key
 }
 
 // foldEq is ASCII-case-insensitive equality against a letters-only field
@@ -581,57 +645,30 @@ func (d *eventDecoder) parseEvent(ev *runtimepkg.Event) error {
 		}
 		switch {
 		case foldEq(key, "epoch"):
-			if d.tryNull() {
-				break
-			}
-			if ev.Epoch, err = d.parseInt(); err != nil {
-				return err
-			}
+			err = parseInt(d, &ev.Epoch)
 		case foldEq(key, "op"):
-			if d.tryNull() {
-				break
-			}
-			b, err := d.parseString()
-			if err != nil {
-				return err
-			}
-			ev.Op = d.intern(b)
+			err = d.parseName(&ev.Op)
 		case foldEq(key, "task"):
 			if d.tryNull() {
-				ev.Task = nil
-				break
+				ev.Task, d.spec = nil, runtimepkg.TaskSpec{}
+			} else if err = d.parseTaskSpec(&d.spec); err == nil {
+				ev.Task = &d.spec
 			}
-			if err := d.parseTaskSpec(&d.spec); err != nil {
-				return err
-			}
-			ev.Task = &d.spec
 		case foldEq(key, "name"):
-			if d.tryNull() {
-				break
-			}
-			b, err := d.parseString()
-			if err != nil {
-				return err
-			}
-			ev.Name = d.intern(b)
+			err = d.parseName(&ev.Name)
 		case foldEq(key, "overload"):
 			if d.tryNull() {
-				ev.Overload = nil
-				break
+				ev.Overload, d.over = nil, runtimepkg.OverloadSpec{}
+			} else if err = d.parseOverload(&d.over); err == nil {
+				ev.Overload = &d.over
 			}
-			if err := d.parseOverload(&d.over); err != nil {
-				return err
-			}
-			ev.Overload = &d.over
 		case foldEq(key, "seq"):
-			if d.tryNull() {
-				break
-			}
-			if ev.Seq, err = d.parseUint64(); err != nil {
-				return err
-			}
+			err = d.parseUint64(&ev.Seq)
 		default:
 			return d.syntaxErr("unknown field %q in event", key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -648,28 +685,22 @@ func (d *eventDecoder) parseTaskSpec(spec *runtimepkg.TaskSpec) error {
 		}
 		switch {
 		case foldEq(key, "task"):
-			if d.tryNull() {
-				break
-			}
-			if err := d.parseTask(&spec.Task); err != nil {
-				return err
-			}
+			err = d.parseTask(&spec.Task)
 		case foldEq(key, "criticality"):
-			if d.tryNull() {
-				break
-			}
-			v, err := d.parseInt()
-			if err != nil {
-				return err
-			}
-			spec.Criticality = int(v)
+			err = parseInt(d, &spec.Criticality)
 		default:
 			return d.syntaxErr("unknown field %q in task spec", key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
 func (d *eventDecoder) parseTask(tt *task.Task) error {
+	if d.tryNull() {
+		return nil
+	}
 	first := true
 	for {
 		key, err := d.objectKeys(&first)
@@ -679,75 +710,42 @@ func (d *eventDecoder) parseTask(tt *task.Task) error {
 		if key == nil {
 			return nil
 		}
-		if d.tryNull() {
-			if foldEq(key, "extralevels") {
-				tt.ExtraLevels = nil
-			}
-			continue
-		}
 		switch {
 		case foldEq(key, "id"):
-			v, err := d.parseInt()
-			if err != nil {
-				return err
-			}
-			tt.ID = int(v)
+			err = parseInt(d, &tt.ID)
 		case foldEq(key, "name"):
-			b, err := d.parseString()
-			if err != nil {
-				return err
-			}
-			tt.Name = d.intern(b)
+			err = d.parseName(&tt.Name)
 		case foldEq(key, "period"):
-			if tt.Period, err = d.parseTime(); err != nil {
-				return err
-			}
+			err = parseInt(d, &tt.Period)
 		case foldEq(key, "release"):
-			if tt.Release, err = d.parseTime(); err != nil {
-				return err
-			}
+			err = parseInt(d, &tt.Release)
 		case foldEq(key, "wcetaccurate"):
-			if tt.WCETAccurate, err = d.parseTime(); err != nil {
-				return err
-			}
+			err = parseInt(d, &tt.WCETAccurate)
 		case foldEq(key, "wcetimprecise"):
-			if tt.WCETImprecise, err = d.parseTime(); err != nil {
-				return err
-			}
+			err = parseInt(d, &tt.WCETImprecise)
 		case foldEq(key, "execaccurate"):
-			if err := d.parseDist(&tt.ExecAccurate); err != nil {
-				return err
-			}
+			err = d.parseDist(&tt.ExecAccurate)
 		case foldEq(key, "execimprecise"):
-			if err := d.parseDist(&tt.ExecImprecise); err != nil {
-				return err
-			}
+			err = d.parseDist(&tt.ExecImprecise)
 		case foldEq(key, "error"):
-			if err := d.parseDist(&tt.Error); err != nil {
-				return err
-			}
+			err = d.parseDist(&tt.Error)
 		case foldEq(key, "maxconsecutiveimprecise"):
-			v, err := d.parseInt()
-			if err != nil {
-				return err
-			}
-			tt.MaxConsecutiveImprecise = int(v)
+			err = parseInt(d, &tt.MaxConsecutiveImprecise)
 		case foldEq(key, "extralevels"):
-			if err := d.parseExtraLevels(tt); err != nil {
-				return err
-			}
+			err = d.parseExtraLevels(tt)
 		default:
 			return d.syntaxErr("unknown field %q in task", key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-func (d *eventDecoder) parseTime() (task.Time, error) {
-	v, err := d.parseInt()
-	return task.Time(v), err
-}
-
 func (d *eventDecoder) parseDist(dist *task.Dist) error {
+	if d.tryNull() {
+		return nil
+	}
 	first := true
 	for {
 		key, err := d.objectKeys(&first)
@@ -756,9 +754,6 @@ func (d *eventDecoder) parseDist(dist *task.Dist) error {
 		}
 		if key == nil {
 			return nil
-		}
-		if d.tryNull() {
-			continue
 		}
 		var target *float64
 		switch {
@@ -773,28 +768,39 @@ func (d *eventDecoder) parseDist(dist *task.Dist) error {
 		default:
 			return d.syntaxErr("unknown field %q in dist", key)
 		}
-		if *target, err = d.parseFloat(); err != nil {
+		if err := d.parseFloat(target); err != nil {
 			return err
 		}
 	}
 }
 
-// parseExtraLevels parses the levels array into the reusable scratch, then
-// clones it: the runtime retains the task it admits, so the slice must not
-// alias pooled decoder memory. Events with extra levels therefore allocate
-// — they are off the zero-alloc hot path by design.
+// parseExtraLevels decodes the levels array the way encoding/json decodes
+// into a slice: null sets it to nil, element i merges into the i-th
+// element of the array already there (a duplicate key), growth appends
+// zero levels, and an empty array is a fresh empty slice. The slice is
+// never pooled decoder memory, because the runtime retains the task it
+// admits, so events with extra levels allocate; they are off the
+// zero-alloc hot path by design.
 func (d *eventDecoder) parseExtraLevels(tt *task.Task) error {
+	if d.tryNull() {
+		tt.ExtraLevels = nil
+		return nil
+	}
 	if err := d.expect('['); err != nil {
 		return err
 	}
-	d.levels = d.levels[:0]
+	lv := tt.ExtraLevels
+	n := 0
 	if !d.peek(']') {
 		for {
-			var lv task.Level
-			if err := d.parseLevel(&lv); err != nil {
+			if n == cap(lv) {
+				lv = append(lv[:n], task.Level{})
+			}
+			lv = lv[:n+1]
+			if err := d.parseLevel(&lv[n]); err != nil {
 				return err
 			}
-			d.levels = append(d.levels, lv)
+			n++
 			if d.peek(']') {
 				break
 			}
@@ -803,15 +809,17 @@ func (d *eventDecoder) parseExtraLevels(tt *task.Task) error {
 			}
 		}
 	}
-	if len(d.levels) == 0 {
-		tt.ExtraLevels = []task.Level{}
-		return nil
+	if n == 0 {
+		lv = []task.Level{}
 	}
-	tt.ExtraLevels = append([]task.Level(nil), d.levels...)
+	tt.ExtraLevels = lv[:n]
 	return nil
 }
 
 func (d *eventDecoder) parseLevel(lv *task.Level) error {
+	if d.tryNull() {
+		return nil
+	}
 	first := true
 	for {
 		key, err := d.objectKeys(&first)
@@ -821,24 +829,18 @@ func (d *eventDecoder) parseLevel(lv *task.Level) error {
 		if key == nil {
 			return nil
 		}
-		if d.tryNull() {
-			continue
-		}
 		switch {
 		case foldEq(key, "wcet"):
-			if lv.WCET, err = d.parseTime(); err != nil {
-				return err
-			}
+			err = parseInt(d, &lv.WCET)
 		case foldEq(key, "exec"):
-			if err := d.parseDist(&lv.Exec); err != nil {
-				return err
-			}
+			err = d.parseDist(&lv.Exec)
 		case foldEq(key, "error"):
-			if err := d.parseDist(&lv.Error); err != nil {
-				return err
-			}
+			err = d.parseDist(&lv.Error)
 		default:
 			return d.syntaxErr("unknown field %q in level", key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -853,27 +855,24 @@ func (d *eventDecoder) parseOverload(ov *runtimepkg.OverloadSpec) error {
 		if key == nil {
 			return nil
 		}
-		if d.tryNull() {
-			continue
-		}
 		switch {
 		case foldEq(key, "rates"):
-			if err := d.parseFaultRates(ov); err != nil {
-				return err
-			}
+			err = d.parseFaultRates(ov)
 		case foldEq(key, "epochs"):
-			v, err := d.parseInt()
-			if err != nil {
-				return err
-			}
-			ov.Epochs = int(v)
+			err = parseInt(d, &ov.Epochs)
 		default:
 			return d.syntaxErr("unknown field %q in overload", key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
 func (d *eventDecoder) parseFaultRates(ov *runtimepkg.OverloadSpec) error {
+	if d.tryNull() {
+		return nil
+	}
 	first := true
 	for {
 		key, err := d.objectKeys(&first)
@@ -882,9 +881,6 @@ func (d *eventDecoder) parseFaultRates(ov *runtimepkg.OverloadSpec) error {
 		}
 		if key == nil {
 			return nil
-		}
-		if d.tryNull() {
-			continue
 		}
 		var target *float64
 		switch {
@@ -901,7 +897,7 @@ func (d *eventDecoder) parseFaultRates(ov *runtimepkg.OverloadSpec) error {
 		default:
 			return d.syntaxErr("unknown field %q in fault rates", key)
 		}
-		if *target, err = d.parseFloat(); err != nil {
+		if err := d.parseFloat(target); err != nil {
 			return err
 		}
 	}

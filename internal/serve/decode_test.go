@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -22,8 +23,9 @@ func refDecode(b []byte) (runtimepkg.Event, error) {
 	if err := dec.Decode(&ev); err != nil {
 		return runtimepkg.Event{}, err
 	}
-	// Match the hand decoder's trailing-data check.
-	if dec.More() {
+	// Match the hand decoder's trailing-data check: only whitespace may
+	// follow the event.
+	if _, err := dec.Token(); err != io.EOF {
 		return runtimepkg.Event{}, fmt.Errorf("trailing data")
 	}
 	return ev, nil
@@ -118,30 +120,47 @@ func TestDecodeEventRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeEventHandcrafted: JSON shapes Marshal never produces —
-// whitespace, case-folded keys, escapes, unicode, null, duplicate keys —
-// must match encoding/json byte for byte of behavior.
+// handcraftedEvents are JSON shapes Marshal never produces — whitespace,
+// case-folded keys, escapes, unicode, null, duplicate keys — that
+// encoding/json accepts.
+var handcraftedEvents = []string{
+	"  {  } \n",
+	`{"OP": "remove", "NAME": "w1"}`,
+	`{"op": "add", "task": {"Criticality": 1, "TASK": {"name": "x", "PERIOD": 40}}}`,
+	`{"name": "tabs\tand\nnewlines!"}`,
+	`{"name": "smile 😀 pair"}`,
+	`{"name": "lone \ud800 surrogate"}`,
+	`{"name": "slash\/quote\""}`,
+	"{\"name\": \"raw\xffbyte\"}",
+	`{"op": null, "task": null, "overload": null, "name": null, "epoch": null}`,
+	`{"op": "add", "op": "remove"}`,
+	`{"epoch": 9223372036854775807}`,
+	`{"epoch": -9223372036854775808}`,
+	`{"overload": {"rates": {"OverrunProb": -0.0, "DropProb": 0}, "epochs": 0}}`,
+	`{"overload": {"rates": {}, "epochs": 3}}`,
+	`{"task": {"task": {"ExtraLevels": []}}}`,
+	`{"task": {"task": {"ExtraLevels": null}}}`,
+	`{"task": {"task": {"ExecAccurate": {"Mean": 1.5e2, "Sigma": 2E-1, "Min": 0.125, "Max": 100.0}}}}`,
+	// Keys folded onto ASCII letters by encoding/json: ſ with s, the
+	// Kelvin sign with k.
+	`{"ſeq": 1, "ta\u017f\u212a": null}`,
+	"{\"tas\u212a\": {\"criticality\": 2}}",
+	// A null between duplicate keys drops what came before it.
+	`{"task": {"criticality": 1}, "task": null, "task": {}}`,
+	`{"overload": {"epochs": 2}, "overload": null, "overload": {}}`,
+	// Null leaves a struct or number unchanged, in every object.
+	`{"task": {"task": null, "criticality": null}, "overload": {"rates": null, "epochs": null}}`,
+	`{"task": {"task": {"id": null, "Name": null, "ExecAccurate": null, "Error": {"Mean": null}}}}`,
+	`{"task": {"task": {"ExtraLevels": [null, {"WCET": 2, "Exec": null}]}}}`,
+	// A duplicate levels array merges into the elements already there.
+	`{"task": {"task": {"ExtraLevels": [{"WCET": 1, "Exec": {"Mean": 2}}, {"WCET": 4}], "ExtraLevels": [{"WCET": 3}]}}}`,
+	`{"task": {"task": {"ExtraLevels": [{"WCET": 1}], "ExtraLevels": [], "ExtraLevels": [{"Error": {"Mean": 1}}]}}}`,
+}
+
+// TestDecodeEventHandcrafted: every handcrafted shape must match
+// encoding/json byte for byte of behavior.
 func TestDecodeEventHandcrafted(t *testing.T) {
-	cases := []string{
-		"  {  } \n",
-		`{"OP": "remove", "NAME": "w1"}`,
-		`{"op": "add", "task": {"Criticality": 1, "TASK": {"name": "x", "PERIOD": 40}}}`,
-		`{"name": "tabs\tand\nnewlines!"}`,
-		`{"name": "smile 😀 pair"}`,
-		`{"name": "lone \ud800 surrogate"}`,
-		`{"name": "slash\/quote\""}`,
-		"{\"name\": \"raw\xffbyte\"}",
-		`{"op": null, "task": null, "overload": null, "name": null, "epoch": null}`,
-		`{"op": "add", "op": "remove"}`,
-		`{"epoch": 9223372036854775807}`,
-		`{"epoch": -9223372036854775808}`,
-		`{"overload": {"rates": {"OverrunProb": -0.0, "DropProb": 0}, "epochs": 0}}`,
-		`{"overload": {"rates": {}, "epochs": 3}}`,
-		`{"task": {"task": {"ExtraLevels": []}}}`,
-		`{"task": {"task": {"ExtraLevels": null}}}`,
-		`{"task": {"task": {"ExecAccurate": {"Mean": 1.5e2, "Sigma": 2E-1, "Min": 0.125, "Max": 100.0}}}}`,
-	}
-	for _, src := range cases {
+	for _, src := range handcraftedEvents {
 		ref, refErr := refDecode([]byte(src))
 		got, gotErr := handDecode([]byte(src))
 		if refErr != nil {
@@ -157,39 +176,51 @@ func TestDecodeEventHandcrafted(t *testing.T) {
 	}
 }
 
+// invalidEvents are bodies encoding/json rejects.
+var invalidEvents = []string{
+	``,
+	`not json`,
+	`[]`,
+	`"string"`,
+	`{`,
+	`{"op": "add"`,
+	`{"op": }`,
+	`{"op": "add",}`,
+	`{"unknown": 1}`,
+	`{"task": {"typo": 1}}`,
+	`{"task": {"task": {"frobnicate": 1}}}`,
+	`{"overload": {"rates": {"Typo": 0.1}}}`,
+	`{"epoch": 1.5}`,
+	`{"epoch": 1e3}`,
+	`{"epoch": 01}`,
+	`{"epoch": 9223372036854775808}`,
+	`{"epoch": -9223372036854775809}`,
+	`{"epoch": +1}`,
+	`{"epoch": .5}`,
+	`{"epoch": 1.}`,
+	`{"epoch": 1e}`,
+	`{"name": "unterminated`,
+	`{"name": "bad \q escape"}`,
+	`{"name": "bad \u12 escape"}`,
+	"{\"name\": \"ctrl \x01 char\"}",
+	`{"op": "add"} trailing`,
+	`{}}`,
+	`{}]`,
+	`{} {}`,
+	`{"task": {"task": {"ExtraLevels": [{"WCET": 1},]}}}`,
+	// An unknown field is rejected whatever its value, null included, at
+	// every nesting level.
+	`{"task":{"task":{"zz":null}}}`,
+	`{"task":{"task":{"ExecAccurate":{"zz":null}}}}`,
+	`{"task":{"task":{"ExtraLevels":[{"zz":null}]}}}`,
+	`{"overload":{"zz":null}}`,
+	`{"overload":{"rates":{"zz":null}}}`,
+}
+
 // TestDecodeEventInvalid: everything encoding/json rejects, the hand
 // decoder must reject too — nothing malformed may reach the journal.
 func TestDecodeEventInvalid(t *testing.T) {
-	cases := []string{
-		``,
-		`not json`,
-		`[]`,
-		`"string"`,
-		`{`,
-		`{"op": "add"`,
-		`{"op": }`,
-		`{"op": "add",}`,
-		`{"unknown": 1}`,
-		`{"task": {"typo": 1}}`,
-		`{"task": {"task": {"frobnicate": 1}}}`,
-		`{"overload": {"rates": {"Typo": 0.1}}}`,
-		`{"epoch": 1.5}`,
-		`{"epoch": 1e3}`,
-		`{"epoch": 01}`,
-		`{"epoch": 9223372036854775808}`,
-		`{"epoch": -9223372036854775809}`,
-		`{"epoch": +1}`,
-		`{"epoch": .5}`,
-		`{"epoch": 1.}`,
-		`{"epoch": 1e}`,
-		`{"name": "unterminated`,
-		`{"name": "bad \q escape"}`,
-		`{"name": "bad \u12 escape"}`,
-		"{\"name\": \"ctrl \x01 char\"}",
-		`{"op": "add"} trailing`,
-		`{"task": {"task": {"ExtraLevels": [{"WCET": 1},]}}}`,
-	}
-	for _, src := range cases {
+	for _, src := range invalidEvents {
 		if _, err := refDecode([]byte(src)); err == nil {
 			t.Fatalf("case %q: encoding/json accepts it — not an invalid case", src)
 		}
@@ -197,6 +228,42 @@ func TestDecodeEventInvalid(t *testing.T) {
 			t.Errorf("case %q: hand decoder accepted invalid input", src)
 		}
 	}
+}
+
+// FuzzDecodeEvent holds the pooled decoder to encoding/json on arbitrary
+// bytes: both reject, or both accept with equal events. The one exception
+// is a bare top-level null, which encoding/json decodes to the zero Event
+// and the decoder rejects (see the package comment).
+func FuzzDecodeEvent(f *testing.F) {
+	for _, ev := range decodeCorpus() {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, src := range handcraftedEvents {
+		f.Add([]byte(src))
+	}
+	for _, src := range invalidEvents {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ref, refErr := refDecode(b)
+		got, gotErr := handDecode(b)
+		switch {
+		case refErr != nil && gotErr != nil:
+		case refErr == nil && gotErr != nil:
+			if string(bytes.Trim(b, " \t\r\n")) == "null" {
+				return
+			}
+			t.Fatalf("%q: encoding/json accepts it, the decoder rejects it: %v", b, gotErr)
+		case refErr != nil:
+			t.Fatalf("%q: encoding/json rejects it (%v), the decoder accepts it", b, refErr)
+		case !reflect.DeepEqual(got, ref):
+			t.Fatalf("%q diverges\n hand: %#v\n ref:  %#v", b, got, ref)
+		}
+	})
 }
 
 // hotEvent is the steady-state /admit payload: known op, repeated task

@@ -9,7 +9,8 @@
 #              use e.g. 3x or 2s for a stable baseline)
 #
 # The node-budgeted ILP benchmarks explore an identical search tree in
-# every configuration, so ns/op ratios are meaningful even at -benchtime 1x.
+# both configurations (serial and parallel), so their nodes and pivots/op
+# agree and ns/op ratios are meaningful even at -benchtime 1x.
 #
 # pipefail matters here: without it, a `go test` failure upstream of the
 # pipe would vanish behind benchjson's exit status and CI would upload an
