@@ -291,47 +291,73 @@ func formatTheta(v float64) string {
 // stress sets whose pending queue averages n/2 deep. Those rows run
 // EDF-Imprecise, which only ever dispatches the EDF head; the mix row runs
 // plan-paper's seven methods on Rnd13 (EDF-Accurate with DropLate), so the
-// ESR slack queries and the offline+OA commitments are timed too. The
-// pending set is a linear scan, so the stress rows grow with the square of
-// n. Run with -benchmem to see the allocation win from the pooled run
-// state.
+// ESR slack queries and the offline+OA commitments are timed too, and the
+// table1 row runs plan-paper's whole simulation mix: every Table I case
+// under the seven methods for 100 hyper-periods, each run with a fresh
+// sampler. The pending set is a linear scan, so the stress rows grow with
+// the square of n. jobs/op is a deterministic count, so ns/job compares
+// rows and trees directly. Run with -benchmem to see the allocation win
+// from the pooled run state.
 func BenchmarkEngineDispatch(b *testing.B) {
 	type bcase struct {
 		name     string
-		set      *TaskSet
+		sets     []*TaskSet
 		hp       int
-		policies []string // each op runs every policy once
+		policies []string // each op runs every policy once on every set
+		fresh    bool     // a fresh sampler per run instead of one per row
 	}
 	edfImprecise := []string{"EDF-Imprecise"}
-	cases := []bcase{{name: "Rnd13", set: mustCaseSet(b, "Rnd13"), hp: 10, policies: edfImprecise}}
+	rnd13 := []*TaskSet{mustCaseSet(b, "Rnd13")}
+	cases := []bcase{{name: "Rnd13", sets: rnd13, hp: 10, policies: edfImprecise}}
 	for _, n := range []int{50, 200, 500, 1000} {
 		s, err := workload.SyntheticStress(n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cases = append(cases, bcase{name: fmt.Sprintf("stress%d", n), set: s, hp: 5, policies: edfImprecise})
+		cases = append(cases, bcase{name: fmt.Sprintf("stress%d", n), sets: []*TaskSet{s}, hp: 5, policies: edfImprecise})
 	}
-	cases = append(cases, bcase{name: "mix", set: mustCaseSet(b, "Rnd13"), hp: 10, policies: tableIMethods})
+	cases = append(cases, bcase{name: "mix", sets: rnd13, hp: 10, policies: tableIMethods})
+	all, err := workload.CachedCases()
+	if err != nil {
+		b.Fatal(err)
+	}
+	table1 := make([]*TaskSet, len(all))
+	for i, c := range all {
+		table1[i] = c.MustSet()
+	}
+	cases = append(cases, bcase{name: "table1", sets: table1, hp: 100, policies: tableIMethods, fresh: true})
 	for _, c := range cases {
-		policies := make([]sim.Policy, len(c.policies))
-		for i, m := range c.policies {
-			p, err := buildMethodPolicy(m, c.set)
-			if err != nil {
-				b.Fatal(err)
+		type run struct {
+			set      *TaskSet
+			p        sim.Policy
+			dropLate bool
+			sampler  sim.Sampler
+		}
+		var runs []run
+		for _, s := range c.sets {
+			sampler := sim.NewRandomSampler(s, 1)
+			for _, m := range c.policies {
+				p, err := buildMethodPolicy(m, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runs = append(runs, run{set: s, p: p, dropLate: m == "EDF-Accurate", sampler: sampler})
 			}
-			policies[i] = p
 		}
 		b.Run(c.name, func(b *testing.B) {
-			sampler := sim.NewRandomSampler(c.set, 1)
 			var jobs int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				jobs = 0
-				for j, p := range policies {
-					res, err := sim.Run(c.set, p, sim.Config{
+				for _, r := range runs {
+					sampler := r.sampler
+					if c.fresh {
+						sampler = sim.NewRandomSampler(r.set, 1)
+					}
+					res, err := sim.Run(r.set, r.p, sim.Config{
 						Hyperperiods: c.hp,
 						Sampler:      sampler,
-						DropLate:     c.policies[j] == "EDF-Accurate",
+						DropLate:     r.dropLate,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -340,6 +366,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(jobs), "jobs/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs)/float64(b.N), "ns/job")
 		})
 	}
 }

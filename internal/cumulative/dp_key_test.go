@@ -5,6 +5,7 @@ import (
 
 	"nprt/internal/rng"
 	"nprt/internal/task"
+	"nprt/internal/workload"
 )
 
 // randStates builds a corpus of states over a deliberately tiny domain so
@@ -115,20 +116,36 @@ func benchSet(tb testing.TB) *task.Set {
 	return s
 }
 
-// BenchmarkCumulativeDP measures a full DP(C) solve; ReportAllocs makes the
-// win from the allocation-free uint64 state key visible (the historical
-// string key allocated one []byte-backed string per expanded state per
-// pruning pass).
+// BenchmarkCumulativeDP measures full DP(C) solves: the 4-task benchSet at
+// the default options, and three Table I cases at plan-paper's options
+// (Rnd9 is plan-paper's largest search). expanded/op is the deterministic
+// count of states the solve expands; run with -benchmem to see allocs/op.
 func BenchmarkCumulativeDP(b *testing.B) {
-	s := benchSet(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		asg, stats, err := Solve(s, Options{})
+	type bcase struct {
+		name string
+		set  *task.Set
+		opt  Options
+	}
+	cases := []bcase{{name: "bench4", set: benchSet(b)}}
+	for _, name := range []string{"Rnd8", "Rnd9", "IDCT"} {
+		c, err := workload.CaseByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if asg == nil || !stats.Feasible {
-			b.Fatal("bench set became infeasible")
-		}
+		cases = append(cases, bcase{name: name, set: c.MustSet(), opt: paperOptions})
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var expanded int
+			for i := 0; i < b.N; i++ {
+				_, stats, err := Solve(c.set, c.opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				expanded = stats.Expanded
+			}
+			b.ReportMetric(float64(expanded), "expanded/op")
+		})
 	}
 }
