@@ -145,9 +145,12 @@ func (r *Stream) Gaussian() float64 {
 	}
 	v = r.Float64()
 	m := math.Sqrt(-2 * math.Log(u))
-	r.gauss = m * math.Sin(2*math.Pi*v)
+	// One argument reduction for both members; math.Sincos returns the same
+	// bits as separate math.Sin and math.Cos calls.
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	r.gauss = m * sin
 	r.hasGauss = true
-	return m * math.Cos(2*math.Pi*v)
+	return m * cos
 }
 
 // Normal returns a Gaussian sample with the given mean and sigma.

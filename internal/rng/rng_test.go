@@ -245,3 +245,38 @@ func TestFromStateRejectsZero(t *testing.T) {
 		t.Fatalf("all-zero state: got err=%v, want ErrZeroState", err)
 	}
 }
+
+// TestGaussianMatchesSeparateSinCos holds Gaussian to the Box–Muller
+// formula written with separate math.Sin and math.Cos calls, bit for bit,
+// over many draws and over angles at the quadrant boundaries, where an
+// argument reduction would first differ.
+func TestGaussianMatchesSeparateSinCos(t *testing.T) {
+	ref := func(u, v float64) (float64, float64) {
+		m := math.Sqrt(-2 * math.Log(u))
+		return m * math.Cos(2*math.Pi*v), m * math.Sin(2*math.Pi*v)
+	}
+	r, src := New(2027), New(2027)
+	for i := 0; i < 1_000_000; i++ {
+		var u float64
+		for u == 0 {
+			u = src.Float64()
+		}
+		first, second := ref(u, src.Float64())
+		if got := r.Gaussian(); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("pair %d first member: %v, separate Sin/Cos gives %v", i, got, first)
+		}
+		if got := r.Gaussian(); math.Float64bits(got) != math.Float64bits(second) {
+			t.Fatalf("pair %d second member: %v, separate Sin/Cos gives %v", i, got, second)
+		}
+	}
+	for q := 0; q <= 4; q++ {
+		for _, d := range []float64{-1e-12, 0, 1e-12} {
+			x := float64(q)*math.Pi/2 + d
+			sin, cos := math.Sincos(x)
+			if math.Float64bits(sin) != math.Float64bits(math.Sin(x)) ||
+				math.Float64bits(cos) != math.Float64bits(math.Cos(x)) {
+				t.Fatalf("Sincos(%v) = %v, %v; Sin, Cos = %v, %v", x, sin, cos, math.Sin(x), math.Cos(x))
+			}
+		}
+	}
+}
