@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"nprt/internal/pq"
@@ -240,9 +241,10 @@ type release struct {
 	taskID int
 }
 
-// releaseFirst orders release events by time, then task ID. The queue holds
-// one event per task, so this is a total order: same-time releases enter the
-// pending set in task-ID order whatever the heap's layout.
+// releaseFirst orders release events by time, then task ID. Each task has
+// at most one release at an instant, so this is a total order: same-time
+// releases enter the pending set in task-ID order whatever the heap's
+// layout or the calendar's sort.
 func releaseFirst(a, b release) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -260,8 +262,19 @@ type State struct {
 	horizon task.Time
 
 	pend      pendingQueue // released, not yet executed
-	releases  *pq.Heap[release]
-	nextIndex []int // per task: next job index to release
+	nextIndex []int        // per task: next job index to release
+
+	// A jitter-free run replays its releases from cal, every release in
+	// [0, MaxRelease + H) in releaseFirst order. From MaxRelease on the
+	// release pattern repeats every hyper-period H, so after its last entry
+	// the cursor wraps to calWrap, the first entry at or after MaxRelease,
+	// and calOff grows by H. A sporadic run keeps one event per task in
+	// the releases heap instead.
+	cal      []release
+	calPos   int
+	calWrap  int
+	calOff   task.Time
+	releases *pq.Heap[release]
 
 	jobsPerP []int // per task: jobs per hyper-period
 
@@ -272,8 +285,8 @@ type State struct {
 	degraded []bool         // per task: forced-imprecise under DowngradeOnOverrun
 }
 
-// statePool recycles run state — the pending set, the release event queue
-// and the per-task index slices — across the thousands of Run calls an
+// statePool recycles run state — the pending set, the release calendar or
+// event queue and the per-task index slices — across the thousands of Run calls an
 // experiment sweep makes, so a warm sweep allocates per run only what
 // escapes into the Result.
 var statePool = sync.Pool{New: func() any { return new(State) }}
@@ -285,6 +298,8 @@ func (st *State) reset(s *task.Set, cfg Config) {
 	st.horizon = s.MaxRelease() + task.Time(cfg.Hyperperiods)*s.Hyperperiod()
 	st.jitter = cfg.Jitter
 	st.pend.reset()
+	st.cal = st.cal[:0]
+	st.calPos, st.calWrap, st.calOff = 0, 0, 0
 	if st.releases == nil {
 		st.releases = pq.New(releaseFirst)
 	} else {
@@ -364,7 +379,7 @@ func edfBefore(a, b task.Job) bool {
 // exists within the horizon. This is the r_next of the ESR idle-slack rule.
 func (st *State) NextReleaseTime(exclude task.JobKey) (task.Time, bool) {
 	best, found := st.pend.minRelease(exclude)
-	if r, ok := st.releases.Peek(); ok && (!found || r.at < best) {
+	if r, ok := st.peekRelease(); ok && (!found || r.at < best) {
 		best, found = r.at, true
 	}
 	return best, found
@@ -373,14 +388,68 @@ func (st *State) NextReleaseTime(exclude task.JobKey) (task.Time, bool) {
 // JobsPerHyperperiod returns the per-task job count in one hyper-period.
 func (st *State) JobsPerHyperperiod(taskID int) int { return st.jobsPerP[taskID] }
 
+// buildCalendar fills cal with every release r_i + k·p_i in
+// [0, MaxRelease + H), in releaseFirst order.
+func (st *State) buildCalendar() {
+	s := st.set
+	end := s.MaxRelease() + s.Hyperperiod()
+	for i := 0; i < s.Len(); i++ {
+		tk := s.Task(i)
+		for at := tk.Release; at < end; at += tk.Period {
+			st.cal = append(st.cal, release{at: at, taskID: i})
+		}
+	}
+	slices.SortFunc(st.cal, func(a, b release) int {
+		if releaseFirst(a, b) {
+			return -1
+		}
+		return 1 // no two entries are equal
+	})
+	for st.calWrap < len(st.cal) && st.cal[st.calWrap].at < s.MaxRelease() {
+		st.calWrap++
+	}
+}
+
+// peekRelease returns the earliest unreleased job's release event; ok is
+// false when no job is left to release within the horizon. A calendar
+// entry whose job's deadline falls past the horizon is skipped: only jobs
+// whose whole window fits the horizon are released.
+func (st *State) peekRelease() (release, bool) {
+	if st.jitter != nil {
+		return st.releases.Peek()
+	}
+	for len(st.cal) > 0 {
+		r := st.cal[st.calPos]
+		r.at += st.calOff
+		if r.at >= st.horizon {
+			return release{}, false
+		}
+		if r.at+st.set.Task(r.taskID).Period <= st.horizon {
+			return r, true
+		}
+		st.stepCalendar()
+	}
+	return release{}, false
+}
+
+// stepCalendar moves the calendar cursor past its current entry.
+func (st *State) stepCalendar() {
+	st.calPos++
+	if st.calPos == len(st.cal) {
+		st.calPos = st.calWrap
+		st.calOff += st.set.Hyperperiod()
+	}
+}
+
 // advanceReleases moves every job released at or before t into pending.
-// Under jitter, the heap entry's time is the actual release; the next
-// job's earliest point is that release plus the period (sporadic minimum
-// separation). The task's next release replaces its event in place (one
-// sift-down); a task with no release left in the horizon leaves the queue.
+// A jitter-free run steps the calendar cursor. Under jitter, the heap
+// entry's time is the actual release; the next job's earliest point is
+// that release plus the period (sporadic minimum separation). The task's
+// next release replaces its event in place (one sift-down); a task with no
+// release left in the horizon leaves the queue.
 func (st *State) advanceReleases(t task.Time) {
 	for {
-		r, ok := st.releases.Peek()
+		r, ok := st.peekRelease()
 		if !ok || r.at > t {
 			return
 		}
@@ -395,10 +464,11 @@ func (st *State) advanceReleases(t task.Time) {
 			st.pend.push(job)
 		}
 		st.nextIndex[r.taskID]++
-		nextAt := r.at + tk.Period
-		if st.jitter != nil {
-			nextAt += st.jitter.ReleaseJitter(tk, idx+1)
+		if st.jitter == nil {
+			st.stepCalendar()
+			continue
 		}
+		nextAt := r.at + tk.Period + st.jitter.ReleaseJitter(tk, idx+1)
 		if nextAt+tk.Period <= st.horizon {
 			st.releases.ReplaceMin(release{at: nextAt, taskID: r.taskID})
 		} else {
@@ -436,13 +506,16 @@ func Run(s *task.Set, p Policy, cfg Config) (*Result, error) {
 	st.reset(s, cfg)
 	for i := 0; i < s.Len(); i++ {
 		st.jobsPerP[i] = int(s.Hyperperiod() / s.Task(i).Period)
-		at := s.Task(i).Release
-		if st.jitter != nil {
-			at += st.jitter.ReleaseJitter(s.Task(i), 0)
+		if st.jitter == nil {
+			continue
 		}
+		at := s.Task(i).Release + st.jitter.ReleaseJitter(s.Task(i), 0)
 		if at+s.Task(i).Period <= st.horizon {
 			st.releases.Push(release{at: at, taskID: i})
 		}
+	}
+	if st.jitter == nil {
+		st.buildCalendar()
 	}
 
 	// Both per-task accumulator slices escape into the Result; one backing
@@ -504,7 +577,7 @@ func Run(s *task.Set, p Policy, cfg Config) (*Result, error) {
 			st.pend.dropLate(st.now, dropStale)
 		}
 		if st.pend.size() == 0 {
-			r, ok := st.releases.Peek()
+			r, ok := st.peekRelease()
 			if !ok {
 				break // no pending work and no future releases: done
 			}
@@ -518,7 +591,7 @@ func Run(s *task.Set, p Policy, cfg Config) (*Result, error) {
 		d, ok := p.Pick(st)
 		if !ok {
 			// Policy waits for a future release.
-			r, okR := st.releases.Peek()
+			r, okR := st.peekRelease()
 			if !okR {
 				return nil, fmt.Errorf("sim: policy %s idles with %d pending jobs and no future releases",
 					p.Name(), st.pend.size())
