@@ -21,8 +21,7 @@ func simulateAssignment(s *task.Set, totalJobs []int32, mask uint64, m int) bool
 	consec := make([]int, s.Len())
 	var t task.Time
 	for k := 0; k < m; k++ {
-		st := &dpState{t: t, nextIdx: nextIdx}
-		job, ok := edfNext(s, st, totalJobs)
+		job, ok := edfNext(s, t, nextIdx, totalJobs)
 		if !ok {
 			return false
 		}

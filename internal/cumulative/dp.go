@@ -2,6 +2,8 @@ package cumulative
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"nprt/internal/sim"
 	"nprt/internal/task"
@@ -42,14 +44,105 @@ type Options struct {
 	SuperPeriodFactorCap int64
 }
 
-// dpState is one candidate partial solution.
-type dpState struct {
-	t       task.Time // finish time of the processed jobs
-	nextIdx []int32   // per task: next unprocessed job index
-	consec  []int16   // φ per task
-	parent  int32     // index into the previous level's arena
-	job     task.Job  // job dispatched to reach this state
-	mode    task.Mode
+// frontier holds the states of one DP(C) level in flat arrays: state k has
+// finish time t[k], per-task next-job indices idx[k*n:(k+1)*n] and packed
+// φ counters phi[k*words:(k+1)*words]. Solve keeps two frontiers and swaps
+// them between levels, so once their capacity has grown a level allocates
+// only its record of how the survivors were reached.
+type frontier struct {
+	n   int
+	lay phiLayout
+	t   []task.Time
+	idx []int32
+	phi []uint64
+}
+
+func (f *frontier) len() int { return len(f.t) }
+
+// reset empties f and makes room for m states.
+func (f *frontier) reset(m int) {
+	f.t = slices.Grow(f.t[:0], m)
+	f.idx = slices.Grow(f.idx[:0], m*f.n)
+	f.phi = slices.Grow(f.phi[:0], m*f.lay.words)
+}
+
+func (f *frontier) idxRow(k int32) []int32 { return f.idx[int(k)*f.n : int(k+1)*f.n] }
+
+func (f *frontier) phiRow(k int32) []uint64 {
+	return f.phi[int(k)*f.lay.words : int(k+1)*f.lay.words]
+}
+
+// drop removes the last state.
+func (f *frontier) drop() {
+	k := f.len() - 1
+	f.t, f.idx, f.phi = f.t[:k], f.idx[:k*f.n], f.phi[:k*f.lay.words]
+}
+
+// add appends a copy of state k of src; it returns the new state's index.
+func (f *frontier) add(src *frontier, k int32) int32 {
+	f.t = append(f.t, src.t[k])
+	f.idx = append(f.idx, src.idxRow(k)...)
+	f.phi = append(f.phi, src.phiRow(k)...)
+	return int32(len(f.t) - 1)
+}
+
+// phiLayout packs the φ counters into uint64 words: fields of bits bits,
+// per to a word, each with its top bit kept clear as a guard. With guard
+// holding every field's guard bit, a ≤ b holds componentwise on a word
+// exactly when ((b|guard) − a) & guard == guard: each field computes
+// b_l + 2^(bits−1) − a_l ≥ 1 without borrowing from its neighbour, and its
+// guard bit survives only if a_l ≤ b_l.
+type phiLayout struct {
+	bits, per, words int
+	mask, guard      uint64
+}
+
+// newPhiLayout packs n counters whose values never exceed maxPhi.
+func newPhiLayout(n, maxPhi int) phiLayout {
+	w := bits.Len(uint(maxPhi)) + 1
+	lay := phiLayout{bits: w, per: 64 / w, mask: 1<<w - 1}
+	lay.words = (n + lay.per - 1) / lay.per
+	for f := 0; f < lay.per; f++ {
+		lay.guard |= 1 << (f*w + w - 1)
+	}
+	return lay
+}
+
+// le reports a ≤ b componentwise, one word at a time.
+func (lay phiLayout) le(a, b []uint64) bool {
+	g := lay.guard
+	for w, x := range a {
+		if ((b[w]|g)-x)&g != g {
+			return false
+		}
+	}
+	return true
+}
+
+// order compares the φ of states a and b stored in phi: aLe reports
+// φ_a ≤ φ_b and bLe φ_b ≤ φ_a. One word, the common case, is compared in
+// place.
+func (lay phiLayout) order(phi []uint64, a, b int32) (aLe, bLe bool) {
+	if lay.words != 1 {
+		return lay.orderRows(phi, a, b)
+	}
+	x, y, g := phi[a], phi[b], lay.guard
+	return ((y|g)-x)&g == g, ((x|g)-y)&g == g
+}
+
+func (lay phiLayout) orderRows(phi []uint64, a, b int32) (aLe, bLe bool) {
+	ra, rb := phi[int(a)*lay.words:][:lay.words], phi[int(b)*lay.words:][:lay.words]
+	return lay.le(ra, rb), lay.le(rb, ra)
+}
+
+func (lay phiLayout) get(row []uint64, l int) int {
+	return int(row[l/lay.per] >> (l % lay.per * lay.bits) & lay.mask)
+}
+
+func (lay phiLayout) inc(row []uint64, l int) { row[l/lay.per] += 1 << (l % lay.per * lay.bits) }
+
+func (lay phiLayout) zero(row []uint64, l int) {
+	row[l/lay.per] &^= lay.mask << (l % lay.per * lay.bits)
 }
 
 // FNV-1a parameters for the 64-bit dominance-group hash.
@@ -58,41 +151,146 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// key hashes the dominance group identity — processed-job multiset plus
-// finish time — FNV-1a style, one 64-bit word per field. Replacing the
-// historical []byte→string key removes a heap allocation per state per
-// level; hash collisions are harmless because pruneDominated chains buckets
+// key hashes state k's dominance group identity — processed-job multiset
+// plus finish time — FNV-1a style, one 64-bit word per field. Hash
+// collisions are harmless because the pruner chains groups of equal hash
 // and confirms true equality with sameGroup.
-func (s *dpState) key() uint64 {
+func (f *frontier) key(k int32) uint64 {
 	h := uint64(fnvOffset64)
-	h = (h ^ uint64(s.t)) * fnvPrime64
-	for _, v := range s.nextIdx {
+	h = (h ^ uint64(f.t[k])) * fnvPrime64
+	for _, v := range f.idxRow(k) {
 		h = (h ^ uint64(uint32(v))) * fnvPrime64
 	}
 	return h
 }
 
 // sameGroup is the true dominance-group equality the hash approximates.
-func sameGroup(a, b *dpState) bool {
-	if a.t != b.t {
-		return false
-	}
-	for l, v := range a.nextIdx {
-		if v != b.nextIdx[l] {
-			return false
-		}
-	}
-	return true
+func (f *frontier) sameGroup(a, b int32) bool {
+	return f.t[a] == f.t[b] && slices.Equal(f.idxRow(a), f.idxRow(b))
 }
 
 // dominates reports componentwise φ_a ≤ φ_b (a is at least as good).
-func dominates(a, b *dpState) bool {
-	for l := range a.consec {
-		if a.consec[l] > b.consec[l] {
-			return false
+func (f *frontier) dominates(a, b int32) bool {
+	aLe, _ := f.lay.order(f.phi, a, b)
+	return aLe
+}
+
+// dpStep records how a surviving state was reached: its parent's index in
+// the previous level and the job and mode dispatched. Solve keeps one per
+// survivor of every level to rebuild the assignment.
+type dpStep struct {
+	parent int32
+	task   int32
+	index  int32
+	mode   task.Mode
+}
+
+// pruner removes dominated states within their (jobs, finish-time) group:
+// S_i is dominated by S_j when every cumulative counter of S_j is no
+// larger. Its map and scratch slices are reused from level to level.
+type pruner struct {
+	byHash map[uint64]int32 // hash → first group with it
+	groups []dpGroup
+	link   []int32 // per state: next kept member of its group, or -1
+	out    []int32
+}
+
+// dpGroup is one dominance group. Its kept states are linked in state
+// order: a state is kept only after every earlier one has been compared
+// with it, and removals keep the order of the rest.
+type dpGroup struct {
+	rep        int32 // first state seen, the group's identity
+	head, tail int32 // kept states, linked through pruner.link; -1 when none
+	sameHash   int32 // next group with the same hash, or -1
+}
+
+// identity returns the indices 0..n-1, every state kept.
+func (p *pruner) identity(n int) []int32 {
+	p.out = p.out[:0]
+	for k := int32(0); k < int32(n); k++ {
+		p.out = append(p.out, k)
+	}
+	return p.out
+}
+
+// prune returns the indices of f's undominated states, groups in
+// first-seen order and each group's states in their order in f, so the
+// survivors' sequence does not depend on map iteration. hash is injectable
+// so tests can force every state through the collision chain.
+func (p *pruner) prune(f *frontier, stats *SearchStats, hash func(*frontier, int32) uint64) []int32 {
+	if p.byHash == nil {
+		p.byHash = make(map[uint64]int32)
+	}
+	clear(p.byHash)
+	p.groups = p.groups[:0]
+	p.link = slices.Grow(p.link[:0], f.len())[:f.len()]
+	phi, lay := f.phi, f.lay
+	for c := int32(0); c < int32(f.len()); c++ {
+		p.link[c] = -1
+		h := hash(f, c)
+		first, seen := p.byHash[h]
+		gi := int32(-1)
+		if seen {
+			for i := first; i != -1; i = p.groups[i].sameHash {
+				if f.sameGroup(p.groups[i].rep, c) {
+					gi = i
+					break
+				}
+			}
+		}
+		if gi == -1 {
+			gi = int32(len(p.groups))
+			next := int32(-1)
+			if seen {
+				next = first
+			}
+			p.groups = append(p.groups, dpGroup{rep: c, head: -1, tail: -1, sameHash: next})
+			p.byHash[h] = gi
+		}
+		g := &p.groups[gi]
+		// The kept states form an antichain, so a candidate that some kept
+		// state dominates dominates none of them: one pass can drop the
+		// states the candidate dominates and still stop at a dominator.
+		dominated := false
+		prev := int32(-1)
+		for k := g.head; k != -1; k = p.link[k] {
+			kLe, cLe := lay.order(phi, k, c)
+			if kLe {
+				dominated = true
+				break
+			}
+			if cLe {
+				stats.PrunedDom++
+				if prev == -1 {
+					g.head = p.link[k]
+				} else {
+					p.link[prev] = p.link[k]
+				}
+				if g.tail == k {
+					g.tail = prev
+				}
+				continue
+			}
+			prev = k
+		}
+		if dominated {
+			stats.PrunedDom++
+			continue
+		}
+		if g.tail == -1 {
+			g.head = c
+		} else {
+			p.link[g.tail] = c
+		}
+		g.tail = c
+	}
+	p.out = p.out[:0]
+	for _, g := range p.groups {
+		for k := g.head; k != -1; k = p.link[k] {
+			p.out = append(p.out, k)
 		}
 	}
-	return true
+	return p.out
 }
 
 // Solve runs the §V-B dynamic program over one super period. It returns a
@@ -112,68 +310,93 @@ func Solve(s *task.Set, opt Options) (*Assignment, *SearchStats, error) {
 	}
 	sp, _, _ := s.SuperPeriod(capFactor)
 
+	// φ_l never exceeds B_l, or the task's job count in the super period
+	// when it has no budget.
 	n := s.Len()
 	totalJobs := make([]int32, n)
-	levels := 0
+	levels, maxPhi := 0, 0
 	for l := 0; l < n; l++ {
 		totalJobs[l] = int32(sp / s.Task(l).Period)
 		levels += int(totalJobs[l])
+		if b := s.Task(l).MaxConsecutiveImprecise; b > 0 {
+			maxPhi = max(maxPhi, b)
+		} else {
+			maxPhi = max(maxPhi, int(totalJobs[l]))
+		}
 	}
 
 	stats := &SearchStats{}
-	root := &dpState{nextIdx: make([]int32, n), consec: make([]int16, n), parent: -1}
-	arena := [][]*dpState{{root}}
+	lay := newPhiLayout(n, maxPhi)
+	// cur holds the previous level's states, of which parents survived;
+	// next receives their children.
+	cur := &frontier{n: n, lay: lay, t: []task.Time{0}, idx: make([]int32, n), phi: make([]uint64, lay.words)}
+	next := &frontier{n: n, lay: lay}
+	parents := []int32{0}
+	var steps []dpStep   // how each state of next was reached
+	var trail [][]dpStep // per level: how each survivor was reached
+	var pr pruner
 
 	for level := 0; level < levels; level++ {
-		cur := arena[level]
-		var next []*dpState
-		for pi, ps := range cur {
+		next.reset(2 * len(parents))
+		steps = slices.Grow(steps[:0], 2*len(parents))
+		for pi, k := range parents {
 			stats.Expanded++
-			job, ok := edfNext(s, ps, totalJobs)
+			job, ok := edfNext(s, cur.t[k], cur.idxRow(k), totalJobs)
 			if !ok {
 				continue // should not happen before the last level
 			}
 			tk := s.Task(job.TaskID)
-			start := ps.t
-			if job.Release > start {
-				start = job.Release
+			start := max(cur.t[k], job.Release)
+			// childOf appends the child reached by running job in mode m
+			// to next, unless the utilization bound prunes it.
+			childOf := func(m task.Mode, finish task.Time) {
+				c := next.add(cur, k)
+				next.t[c] = finish
+				next.idxRow(c)[job.TaskID]++
+				if m == task.Imprecise {
+					lay.inc(next.phiRow(c), job.TaskID)
+				} else {
+					lay.zero(next.phiRow(c), job.TaskID)
+				}
+				if !opt.DisableUtilization && !utilizationFeasible(s, next, c, totalJobs, sp) {
+					stats.PrunedUtil++
+					next.drop()
+					return
+				}
+				steps = append(steps, dpStep{parent: int32(pi), task: int32(job.TaskID), index: int32(job.Index), mode: m})
 			}
 			// Accurate branch.
 			if f := start + tk.WCETAccurate; f <= job.Deadline {
-				next = append(next, childState(ps, int32(pi), job, task.Accurate, f))
+				childOf(task.Accurate, f)
 			}
 			// Imprecise branch (hard error budget).
 			b := tk.MaxConsecutiveImprecise
-			if b == 0 || int(ps.consec[job.TaskID])+1 <= b {
+			if b == 0 || lay.get(cur.phiRow(k), job.TaskID)+1 <= b {
 				if f := start + tk.WCETImprecise; f <= job.Deadline {
-					next = append(next, childState(ps, int32(pi), job, task.Imprecise, f))
+					childOf(task.Imprecise, f)
 				}
 			}
 		}
 
-		if !opt.DisableUtilization {
-			kept := next[:0]
-			for _, st := range next {
-				if utilizationFeasible(s, st, totalJobs, sp) {
-					kept = append(kept, st)
-				} else {
-					stats.PrunedUtil++
-				}
-			}
-			next = kept
-		}
+		kept := pr.identity(next.len())
 		if !opt.DisableDominance {
-			next = pruneDominated(next, stats)
+			kept = pr.prune(next, stats, (*frontier).key)
 		}
-		if len(next) > maxStates {
-			next = next[:maxStates]
+		if len(kept) > maxStates {
+			kept = kept[:maxStates]
 			stats.Truncated = true
 		}
-		stats.LevelCounts = append(stats.LevelCounts, len(next))
-		if len(next) == 0 {
+		stats.LevelCounts = append(stats.LevelCounts, len(kept))
+		if len(kept) == 0 {
 			return nil, stats, nil
 		}
-		arena = append(arena, next)
+		reached := make([]dpStep, len(kept))
+		for i, k := range kept {
+			reached[i] = steps[k]
+		}
+		trail = append(trail, reached)
+		parents = append(parents[:0], kept...)
+		cur, next = next, cur
 	}
 
 	// Reconstruct from any surviving terminal state.
@@ -184,43 +407,28 @@ func Solve(s *task.Set, opt Options) (*Assignment, *SearchStats, error) {
 	}
 	idx := int32(0)
 	for level := levels; level >= 1; level-- {
-		st := arena[level][idx]
-		asg.Jobs[level-1] = st.job
+		st := trail[level-1][idx]
+		asg.Jobs[level-1] = s.Job(int(st.task), int(st.index))
 		asg.Modes[level-1] = st.mode
 		idx = st.parent
 	}
 	return asg, stats, nil
 }
 
-func childState(ps *dpState, parent int32, job task.Job, m task.Mode, finish task.Time) *dpState {
-	nx := make([]int32, len(ps.nextIdx))
-	copy(nx, ps.nextIdx)
-	nx[job.TaskID]++
-	cs := make([]int16, len(ps.consec))
-	copy(cs, ps.consec)
-	if m == task.Imprecise {
-		cs[job.TaskID]++
-	} else {
-		cs[job.TaskID] = 0
-	}
-	return &dpState{t: finish, nextIdx: nx, consec: cs, parent: parent, job: job, mode: m}
-}
-
 // edfNext finds the next job non-preemptive EDF would dispatch from this
 // state: the earliest-deadline job among those released at the state's
 // time, advancing over idle gaps when nothing is released.
-func edfNext(s *task.Set, ps *dpState, totalJobs []int32) (task.Job, bool) {
-	t := ps.t
+func edfNext(s *task.Set, t task.Time, nextIdx []int32, totalJobs []int32) (task.Job, bool) {
 	for {
 		best := task.Job{}
 		found := false
 		var minRelease task.Time
 		haveRelease := false
 		for l := 0; l < s.Len(); l++ {
-			if ps.nextIdx[l] >= totalJobs[l] {
+			if nextIdx[l] >= totalJobs[l] {
 				continue
 			}
-			j := s.Job(l, int(ps.nextIdx[l]))
+			j := s.Job(l, int(nextIdx[l]))
 			if j.Release <= t {
 				if !found || edfLess(j, best) {
 					best, found = j, true
@@ -255,11 +463,12 @@ func edfLess(a, b task.Job) bool {
 // utilizationFeasible is the §V-B best-case-utilization prune: with the
 // error budgets spent as aggressively as possible, the remaining jobs'
 // minimum workload must still fit between the state's time and the super
-// period's end.
-func utilizationFeasible(s *task.Set, st *dpState, totalJobs []int32, sp task.Time) bool {
+// period's end. k indexes a state of f.
+func utilizationFeasible(s *task.Set, f *frontier, k int32, totalJobs []int32, sp task.Time) bool {
+	nextIdx, phi := f.idxRow(k), f.phiRow(k)
 	var workMin task.Time
 	for l := 0; l < s.Len(); l++ {
-		m := int64(totalJobs[l] - st.nextIdx[l])
+		m := int64(totalJobs[l] - nextIdx[l])
 		if m <= 0 {
 			continue
 		}
@@ -267,7 +476,7 @@ func utilizationFeasible(s *task.Set, st *dpState, totalJobs []int32, sp task.Ti
 		b := int64(tk.MaxConsecutiveImprecise)
 		var accurate int64
 		if b > 0 {
-			free := b - int64(st.consec[l]) // imprecise runs available before an accurate is forced
+			free := b - int64(f.lay.get(phi, l)) // imprecise runs available before an accurate is forced
 			if free < 0 {
 				free = 0
 			}
@@ -277,69 +486,7 @@ func utilizationFeasible(s *task.Set, st *dpState, totalJobs []int32, sp task.Ti
 		}
 		workMin += task.Time(accurate)*tk.WCETAccurate + task.Time(m-accurate)*tk.WCETImprecise
 	}
-	return st.t+workMin <= sp
-}
-
-// pruneDominated removes states dominated within their (jobs, finish-time)
-// group: S_i is dominated by S_j when every cumulative counter of S_j is no
-// larger.
-func pruneDominated(states []*dpState, stats *SearchStats) []*dpState {
-	return pruneDominatedHash(states, stats, (*dpState).key)
-}
-
-// pruneDominatedHash is pruneDominated with an injectable hash (tests pass a
-// constant function to force every state through the collision chain).
-// Groups are keyed by hash but membership is confirmed with sameGroup, so a
-// 64-bit collision merely costs an extra comparison; group order is
-// first-seen order, keeping the surviving-state sequence deterministic
-// instead of depending on map iteration.
-func pruneDominatedHash(states []*dpState, stats *SearchStats, hash func(*dpState) uint64) []*dpState {
-	byHash := make(map[uint64][]int32, len(states))
-	var groups [][]*dpState // kept states per group, in first-seen order
-	var reps []*dpState     // group representative for true-key equality
-	for _, cand := range states {
-		h := hash(cand)
-		gi := int32(-1)
-		for _, i := range byHash[h] {
-			if sameGroup(reps[i], cand) {
-				gi = i
-				break
-			}
-		}
-		if gi == -1 {
-			gi = int32(len(groups))
-			groups = append(groups, nil)
-			reps = append(reps, cand)
-			byHash[h] = append(byHash[h], gi)
-		}
-		kept := groups[gi]
-		dominated := false
-		for _, k := range kept {
-			if dominates(k, cand) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			stats.PrunedDom++
-			continue
-		}
-		// Remove previously kept states the candidate dominates.
-		filtered := kept[:0]
-		for _, k := range kept {
-			if dominates(cand, k) {
-				stats.PrunedDom++
-				continue
-			}
-			filtered = append(filtered, k)
-		}
-		groups[gi] = append(filtered, cand)
-	}
-	out := states[:0]
-	for _, kept := range groups {
-		out = append(out, kept...)
-	}
-	return out
+	return f.t[k]+workMin <= sp
 }
 
 // ReplayPolicy executes a DP(C) assignment cyclically: planned order,
