@@ -178,6 +178,10 @@ func enumerateBinaries(t *testing.T, p *ilp.Problem, nBin int) (best float64, ok
 // and holds each to exhaustive enumeration of its binaries: the same status
 // and optimal objective, and an incumbent that passes integralFeasible. The
 // parallel search must additionally be bit-identical to the serial one.
+// Seven trials in eight plant an integral point and build every row's
+// right-hand side around it, so they are feasible and the objective is
+// compared; the rest draw free right-hand sides, which are mostly
+// infeasible and check that verdict.
 func TestRandomILPDifferential(t *testing.T) {
 	r := rng.New(0xD1FF2026)
 	feasible := 0
@@ -185,23 +189,40 @@ func TestRandomILPDifferential(t *testing.T) {
 		nBin := 3 + int(r.Uint64()%4)  // 3..6 binaries
 		nCont := int(r.Uint64() % 3)   // 0..2 continuous
 		nRows := 2 + int(r.Uint64()%4) // 2..5 rows
+		planted := trial%8 != 7
 		n := nBin + nCont
 		p := ilp.NewProblem(n)
+		x0 := make([]float64, n)
 		for j := 0; j < nBin; j++ {
 			p.SetBinary(j)
 			p.LP.C[j] = float64(int(r.Uint64()%21)) - 10
+			x0[j] = float64(r.Uint64() % 2)
 		}
 		for j := nBin; j < n; j++ {
 			p.LP.C[j] = float64(int(r.Uint64()%11)) - 5
-			p.LP.SetBounds(j, 0, float64(1+r.Uint64()%9))
+			up := 1 + r.Uint64()%9
+			p.LP.SetBounds(j, 0, float64(up))
+			x0[j] = float64(r.Uint64() % (up + 1))
 		}
 		for i := 0; i < nRows; i++ {
 			coef := make([]float64, n)
+			dot := 0.0
 			for j := range coef {
 				coef[j] = float64(int(r.Uint64()%9)) - 4
+				dot += coef[j] * x0[j]
 			}
 			sense := lp.Sense(r.Uint64() % 3)
 			rhs := float64(int(r.Uint64()%17)) - 4
+			if planted {
+				switch slack := float64(r.Uint64() % 3); sense {
+				case lp.LE:
+					rhs = dot + slack
+				case lp.GE:
+					rhs = dot - slack
+				default:
+					rhs = dot
+				}
+			}
 			p.LP.AddConstraint(coef, sense, rhs, "")
 		}
 
@@ -210,6 +231,9 @@ func TestRandomILPDifferential(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		best, ok := enumerateBinaries(t, p, nBin)
+		if planted && !ok {
+			t.Fatalf("trial %d: enumeration finds no feasible assignment around the planted point", trial)
+		}
 		if !ok {
 			if nat.Status != ilp.Infeasible {
 				t.Fatalf("trial %d: status %v, enumeration finds no feasible assignment", trial, nat.Status)
@@ -237,6 +261,9 @@ func TestRandomILPDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 120 trials feasible", feasible)
+	if feasible < 100 || feasible == 120 {
+		t.Fatalf("%d of 120 trials feasible: want at least 100 objective comparisons and some infeasible verdicts", feasible)
+	}
 }
 
 // TestTightTimeLimitKeepsIncumbent (satellite of the TimeLimit batching
