@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -286,9 +287,9 @@ type State struct {
 }
 
 // statePool recycles run state — the pending set, the release calendar or
-// event queue and the per-task index slices — across the thousands of Run calls an
-// experiment sweep makes, so a warm sweep allocates per run only what
-// escapes into the Result.
+// event queue and the per-task index slices — across the thousands of Run
+// calls an experiment sweep makes, so a warm sweep allocates per run only
+// what escapes into the Result.
 var statePool = sync.Pool{New: func() any { return new(State) }}
 
 // reset prepares a (possibly recycled) State for a fresh run.
@@ -300,10 +301,12 @@ func (st *State) reset(s *task.Set, cfg Config) {
 	st.pend.reset()
 	st.cal = st.cal[:0]
 	st.calPos, st.calWrap, st.calOff = 0, 0, 0
-	if st.releases == nil {
-		st.releases = pq.New(releaseFirst)
-	} else {
-		st.releases.Clear()
+	if cfg.Jitter != nil {
+		if st.releases == nil {
+			st.releases = pq.New(releaseFirst)
+		} else {
+			st.releases.Clear()
+		}
 	}
 	st.nextIndex = resizedZeroed(st.nextIndex, s.Len())
 	st.jobsPerP = resizedZeroed(st.jobsPerP, s.Len())
@@ -400,10 +403,7 @@ func (st *State) buildCalendar() {
 		}
 	}
 	slices.SortFunc(st.cal, func(a, b release) int {
-		if releaseFirst(a, b) {
-			return -1
-		}
-		return 1 // no two entries are equal
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.taskID, b.taskID))
 	})
 	for st.calWrap < len(st.cal) && st.cal[st.calWrap].at < s.MaxRelease() {
 		st.calWrap++
