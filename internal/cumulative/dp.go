@@ -108,33 +108,6 @@ func newPhiLayout(n, maxPhi int) phiLayout {
 	return lay
 }
 
-// le reports a ≤ b componentwise, one word at a time.
-func (lay phiLayout) le(a, b []uint64) bool {
-	g := lay.guard
-	for w, x := range a {
-		if ((b[w]|g)-x)&g != g {
-			return false
-		}
-	}
-	return true
-}
-
-// order compares the φ of states a and b stored in phi: aLe reports
-// φ_a ≤ φ_b and bLe φ_b ≤ φ_a. One word, the common case, is compared in
-// place.
-func (lay phiLayout) order(phi []uint64, a, b int32) (aLe, bLe bool) {
-	if lay.words != 1 {
-		return lay.orderRows(phi, a, b)
-	}
-	x, y, g := phi[a], phi[b], lay.guard
-	return ((y|g)-x)&g == g, ((x|g)-y)&g == g
-}
-
-func (lay phiLayout) orderRows(phi []uint64, a, b int32) (aLe, bLe bool) {
-	ra, rb := phi[int(a)*lay.words:][:lay.words], phi[int(b)*lay.words:][:lay.words]
-	return lay.le(ra, rb), lay.le(rb, ra)
-}
-
 func (lay phiLayout) get(row []uint64, l int) int {
 	return int(row[l/lay.per] >> (l % lay.per * lay.bits) & lay.mask)
 }
@@ -169,10 +142,22 @@ func (f *frontier) sameGroup(a, b int32) bool {
 	return f.t[a] == f.t[b] && slices.Equal(f.idxRow(a), f.idxRow(b))
 }
 
-// dominates reports componentwise φ_a ≤ φ_b (a is at least as good).
-func (f *frontier) dominates(a, b int32) bool {
-	aLe, _ := f.lay.order(f.phi, a, b)
-	return aLe
+// order compares the φ of states a and b: aLe reports φ_a ≤ φ_b
+// componentwise (a is at least as good) and bLe φ_b ≤ φ_a.
+func (f *frontier) order(a, b int32) (aLe, bLe bool) {
+	g := f.lay.guard
+	if f.lay.words == 1 { // the common case, compared in place
+		x, y := f.phi[a], f.phi[b]
+		return ((y|g)-x)&g == g, ((x|g)-y)&g == g
+	}
+	ra, rb := f.phiRow(a), f.phiRow(b)
+	aLe, bLe = true, true
+	for w, x := range ra {
+		y := rb[w]
+		aLe = aLe && ((y|g)-x)&g == g
+		bLe = bLe && ((x|g)-y)&g == g
+	}
+	return aLe, bLe
 }
 
 // dpStep records how a surviving state was reached: its parent's index in
@@ -224,7 +209,6 @@ func (p *pruner) prune(f *frontier, stats *SearchStats, hash func(*frontier, int
 	clear(p.byHash)
 	p.groups = p.groups[:0]
 	p.link = slices.Grow(p.link[:0], f.len())[:f.len()]
-	phi, lay := f.phi, f.lay
 	for c := int32(0); c < int32(f.len()); c++ {
 		p.link[c] = -1
 		h := hash(f, c)
@@ -254,7 +238,7 @@ func (p *pruner) prune(f *frontier, stats *SearchStats, hash func(*frontier, int
 		dominated := false
 		prev := int32(-1)
 		for k := g.head; k != -1; k = p.link[k] {
-			kLe, cLe := lay.order(phi, k, c)
+			kLe, cLe := f.order(k, c)
 			if kLe {
 				dominated = true
 				break

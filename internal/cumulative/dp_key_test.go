@@ -115,10 +115,11 @@ func TestPruneMatchesPairwiseDefinition(t *testing.T) {
 		}
 		survives := true
 		for o := int32(0); o < int32(f.len()); o++ {
-			if o == c || !f.sameGroup(o, c) || !f.dominates(o, c) {
+			oLe, cLe := f.order(o, c)
+			if o == c || !f.sameGroup(o, c) || !oLe {
 				continue
 			}
-			if !f.dominates(c, o) || o < c { // strictly better, or an earlier equal
+			if !cLe || o < c { // strictly better, or an earlier equal
 				survives = false
 				break
 			}
@@ -141,12 +142,15 @@ func TestPruneMatchesPairwiseDefinition(t *testing.T) {
 
 // TestPackedPhiMatchesCounters drives random counter vectors through the
 // packed layout — one and several words, narrow and wide fields, values up
-// to the bound — and holds get and the word-parallel dominance test to
-// plain per-task counters.
+// to the bound — and holds get and the word-parallel comparison to plain
+// per-task counters.
 func TestPackedPhiMatchesCounters(t *testing.T) {
 	r := rng.New(4242)
 	for trial := 0; trial < 300; trial++ {
 		n, maxPhi := 1+r.Intn(40), 1+r.Intn(300)
+		if trial%2 == 0 { // Table I's budgets: often one word
+			n, maxPhi = 1+r.Intn(20), 1+r.Intn(7)
+		}
 		f := &frontier{n: n, lay: newPhiLayout(n, maxPhi)}
 		plain := make([][]int, 2)
 		for k := range plain {
@@ -188,7 +192,7 @@ func TestPackedPhiMatchesCounters(t *testing.T) {
 			}
 			return true
 		}
-		if f.dominates(0, 1) != le(plain[0], plain[1]) || f.dominates(1, 0) != le(plain[1], plain[0]) {
+		if aLe, bLe := f.order(0, 1); aLe != le(plain[0], plain[1]) || bLe != le(plain[1], plain[0]) {
 			t.Fatalf("trial %d: packed dominance disagrees on %v vs %v", trial, plain[0], plain[1])
 		}
 	}
