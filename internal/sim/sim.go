@@ -269,12 +269,15 @@ type State struct {
 	// [0, MaxRelease + H) in releaseFirst order. From MaxRelease on the
 	// release pattern repeats every hyper-period H, so after its last entry
 	// the cursor wraps to calWrap, the first entry at or after MaxRelease,
-	// and calOff grows by H. A sporadic run keeps one event per task in
-	// the releases heap instead.
+	// and calOff grows by H. calNext is the cursor's entry with calOff
+	// added; calDone is set once no job is left to release. A sporadic run
+	// keeps one event per task in the releases heap instead.
 	cal      []release
 	calPos   int
 	calWrap  int
 	calOff   task.Time
+	calNext  release
+	calDone  bool
 	releases *pq.Heap[release]
 
 	jobsPerP []int // per task: jobs per hyper-period
@@ -408,36 +411,46 @@ func (st *State) buildCalendar() {
 	for st.calWrap < len(st.cal) && st.cal[st.calWrap].at < s.MaxRelease() {
 		st.calWrap++
 	}
+	st.calDone = len(st.cal) == 0
+	if !st.calDone {
+		st.settleCalendar()
+	}
 }
 
 // peekRelease returns the earliest unreleased job's release event; ok is
-// false when no job is left to release within the horizon. A calendar
-// entry whose job's deadline falls past the horizon is skipped: only jobs
-// whose whole window fits the horizon are released.
+// false when no job is left to release within the horizon.
 func (st *State) peekRelease() (release, bool) {
 	if st.jitter != nil {
 		return st.releases.Peek()
 	}
-	for len(st.cal) > 0 {
-		r := st.cal[st.calPos]
-		r.at += st.calOff
-		if r.at >= st.horizon {
-			return release{}, false
-		}
-		if r.at+st.set.Task(r.taskID).Period <= st.horizon {
-			return r, true
-		}
-		st.stepCalendar()
-	}
-	return release{}, false
+	return st.calNext, !st.calDone
 }
 
 // stepCalendar moves the calendar cursor past its current entry.
 func (st *State) stepCalendar() {
 	st.calPos++
-	if st.calPos == len(st.cal) {
-		st.calPos = st.calWrap
-		st.calOff += st.set.Hyperperiod()
+	st.settleCalendar()
+}
+
+// settleCalendar sets calNext to the cursor's entry, wrapping at the end
+// of cal and first stepping past entries whose job's deadline falls past
+// the horizon: only jobs whose whole window fits the horizon are released.
+func (st *State) settleCalendar() {
+	for ; ; st.calPos++ {
+		if st.calPos == len(st.cal) {
+			st.calPos = st.calWrap
+			st.calOff += st.set.Hyperperiod()
+		}
+		r := st.cal[st.calPos]
+		r.at += st.calOff
+		if r.at >= st.horizon {
+			st.calDone = true
+			return
+		}
+		if r.at+st.set.Task(r.taskID).Period <= st.horizon {
+			st.calNext = r
+			return
+		}
 	}
 }
 
