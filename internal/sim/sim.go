@@ -399,6 +399,12 @@ func (st *State) JobsPerHyperperiod(taskID int) int { return st.jobsPerP[taskID]
 func (st *State) buildCalendar() {
 	s := st.set
 	end := s.MaxRelease() + s.Hyperperiod()
+	size := 0
+	for i := 0; i < s.Len(); i++ {
+		tk := s.Task(i)
+		size += int((end - tk.Release + tk.Period - 1) / tk.Period)
+	}
+	st.cal = slices.Grow(st.cal, size)
 	for i := 0; i < s.Len(); i++ {
 		tk := s.Task(i)
 		for at := tk.Release; at < end; at += tk.Period {
