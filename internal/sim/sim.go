@@ -270,14 +270,13 @@ type State struct {
 	// release pattern repeats every hyper-period H, so after its last entry
 	// the cursor wraps to calWrap, the first entry at or after MaxRelease,
 	// and calOff grows by H. calNext is the cursor's entry with calOff
-	// added; calDone is set once no job is left to release. A sporadic run
-	// keeps one event per task in the releases heap instead.
+	// added; its time reaches the horizon once no job is left to release.
+	// A sporadic run keeps one event per task in the releases heap instead.
 	cal      []release
 	calPos   int
 	calWrap  int
 	calOff   task.Time
 	calNext  release
-	calDone  bool
 	releases *pq.Heap[release]
 
 	jobsPerP []int // per task: jobs per hyper-period
@@ -304,6 +303,7 @@ func (st *State) reset(s *task.Set, cfg Config) {
 	st.pend.reset()
 	st.cal = st.cal[:0]
 	st.calPos, st.calWrap, st.calOff = 0, 0, 0
+	st.calNext = release{at: st.horizon}
 	if cfg.Jitter != nil {
 		if st.releases == nil {
 			st.releases = pq.New(releaseFirst)
@@ -399,12 +399,7 @@ func (st *State) JobsPerHyperperiod(taskID int) int { return st.jobsPerP[taskID]
 func (st *State) buildCalendar() {
 	s := st.set
 	end := s.MaxRelease() + s.Hyperperiod()
-	size := 0
-	for i := 0; i < s.Len(); i++ {
-		tk := s.Task(i)
-		size += int((end - tk.Release + tk.Period - 1) / tk.Period)
-	}
-	st.cal = slices.Grow(st.cal, size)
+	st.cal = slices.Grow(st.cal, s.JobsPerHyperperiod()) // exact when every task starts at 0
 	for i := 0; i < s.Len(); i++ {
 		tk := s.Task(i)
 		for at := tk.Release; at < end; at += tk.Period {
@@ -417,8 +412,7 @@ func (st *State) buildCalendar() {
 	for st.calWrap < len(st.cal) && st.cal[st.calWrap].at < s.MaxRelease() {
 		st.calWrap++
 	}
-	st.calDone = len(st.cal) == 0
-	if !st.calDone {
+	if len(st.cal) > 0 {
 		st.settleCalendar()
 	}
 }
@@ -429,13 +423,7 @@ func (st *State) peekRelease() (release, bool) {
 	if st.jitter != nil {
 		return st.releases.Peek()
 	}
-	return st.calNext, !st.calDone
-}
-
-// stepCalendar moves the calendar cursor past its current entry.
-func (st *State) stepCalendar() {
-	st.calPos++
-	st.settleCalendar()
+	return st.calNext, st.calNext.at < st.horizon
 }
 
 // settleCalendar sets calNext to the cursor's entry, wrapping at the end
@@ -449,11 +437,7 @@ func (st *State) settleCalendar() {
 		}
 		r := st.cal[st.calPos]
 		r.at += st.calOff
-		if r.at >= st.horizon {
-			st.calDone = true
-			return
-		}
-		if r.at+st.set.Task(r.taskID).Period <= st.horizon {
+		if r.at >= st.horizon || r.at+st.set.Task(r.taskID).Period <= st.horizon {
 			st.calNext = r
 			return
 		}
@@ -484,7 +468,8 @@ func (st *State) advanceReleases(t task.Time) {
 		}
 		st.nextIndex[r.taskID]++
 		if st.jitter == nil {
-			st.stepCalendar()
+			st.calPos++
+			st.settleCalendar()
 			continue
 		}
 		nextAt := r.at + tk.Period + st.jitter.ReleaseJitter(tk, idx+1)
