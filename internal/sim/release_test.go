@@ -135,7 +135,9 @@ func releaseSet(t testing.TB, draw func(n int) int) *task.Set {
 
 // TestReleaseOrderMatchesReference draws seeded small sets with release
 // offsets, 1–5 hyper-periods and dropped releases, and holds the engine's
-// release sequence, timing and job fields to the sorted reference.
+// release sequence, timing and job fields to the sorted reference. A last
+// set has more releases per hyper-period than the calendar holds, so its
+// jitter-free run takes the heap.
 func TestReleaseOrderMatchesReference(t *testing.T) {
 	r := rng.New(0x5e1ea5e)
 	draw := func(n int) int { return r.Intn(n) }
@@ -143,6 +145,17 @@ func TestReleaseOrderMatchesReference(t *testing.T) {
 		s := releaseSet(t, draw)
 		checkReleaseOrder(t, s, 1+draw(5), r.Uint64(), uint64(draw(4)))
 	}
+	big, err := task.New([]task.Task{
+		{Period: 2, WCETAccurate: 2, WCETImprecise: 1},
+		{Period: 131075, Release: 3, WCETAccurate: 2, WCETImprecise: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calendarLen(big, 1); n >= 0 {
+		t.Fatalf("calendar holds the big set's %d releases; it must take the heap", n)
+	}
+	checkReleaseOrder(t, big, 1, 7, 1)
 }
 
 // FuzzReleaseOrder is TestReleaseOrderMatchesReference over fuzzed sets:

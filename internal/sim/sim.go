@@ -12,9 +12,9 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -266,13 +266,17 @@ type State struct {
 	nextIndex []int        // per task: next job index to release
 
 	// A jitter-free run replays its releases from cal, every release in
-	// [0, MaxRelease + H) in releaseFirst order. From MaxRelease on the
-	// release pattern repeats every hyper-period H, so after its last entry
-	// the cursor wraps to calWrap, the first entry at or after MaxRelease,
-	// and calOff grows by H. calNext is the cursor's entry with calOff
-	// added; its time reaches the horizon once no job is left to release.
-	// A sporadic run keeps one event per task in the releases heap instead.
-	cal      []release
+	// [0, MaxRelease + H) in releaseFirst order, each packed as its time
+	// shifted left by calShift bits above its task ID. From MaxRelease on
+	// the release pattern repeats every hyper-period H, so after its last
+	// entry the cursor wraps to calWrap, the first entry at or after
+	// MaxRelease, and calOff grows by H. calNext is the cursor's entry
+	// with calOff added; its time reaches the horizon once no job is left
+	// to release. A sporadic run, or a set whose calendar would not fit
+	// (see calendarLen), keeps one event per task in the releases heap.
+	useCal   bool
+	cal      []uint64
+	calShift uint
 	calPos   int
 	calWrap  int
 	calOff   task.Time
@@ -302,9 +306,17 @@ func (st *State) reset(s *task.Set, cfg Config) {
 	st.jitter = cfg.Jitter
 	st.pend.reset()
 	st.cal = st.cal[:0]
-	st.calPos, st.calWrap, st.calOff = 0, 0, 0
+	st.calShift = uint(bits.Len(uint(s.Len() - 1)))
+	st.calPos, st.calOff = 0, 0
 	st.calNext = release{at: st.horizon}
-	if cfg.Jitter != nil {
+	st.useCal = false
+	if cfg.Jitter == nil {
+		if size := calendarLen(s, st.calShift); size >= 0 {
+			st.useCal = true
+			st.cal = slices.Grow(st.cal, size)
+		}
+	}
+	if !st.useCal {
 		if st.releases == nil {
 			st.releases = pq.New(releaseFirst)
 		} else {
@@ -394,33 +406,51 @@ func (st *State) NextReleaseTime(exclude task.JobKey) (task.Time, bool) {
 // JobsPerHyperperiod returns the per-task job count in one hyper-period.
 func (st *State) JobsPerHyperperiod(taskID int) int { return st.jobsPerP[taskID] }
 
+// calendarCap bounds the release calendar, 8 bytes an entry, so that its
+// memory does not grow with a set's hyper-period: a set with more
+// releases in [0, MaxRelease + H) keeps the heap.
+const calendarCap = 1 << 16
+
+// calendarLen returns how many releases fall in [0, MaxRelease + H), or
+// -1 when they are more than calendarCap or their times leave no room for
+// a task ID in the shift bits below them.
+func calendarLen(s *task.Set, shift uint) int {
+	end := s.MaxRelease() + s.Hyperperiod()
+	if end <= 0 || uint64(end) > math.MaxUint64>>shift {
+		return -1
+	}
+	n := 0
+	for i := 0; i < s.Len() && n <= calendarCap; i++ {
+		tk := s.Task(i)
+		n += int((end - tk.Release + tk.Period - 1) / tk.Period)
+	}
+	if n > calendarCap {
+		return -1
+	}
+	return n
+}
+
 // buildCalendar fills cal with every release r_i + k·p_i in
-// [0, MaxRelease + H), in releaseFirst order.
+// [0, MaxRelease + H). A packed entry orders by time and then task ID, so
+// sorting the words puts the releases in releaseFirst order.
 func (st *State) buildCalendar() {
 	s := st.set
 	end := s.MaxRelease() + s.Hyperperiod()
-	st.cal = slices.Grow(st.cal, s.JobsPerHyperperiod()) // exact when every task starts at 0
 	for i := 0; i < s.Len(); i++ {
 		tk := s.Task(i)
 		for at := tk.Release; at < end; at += tk.Period {
-			st.cal = append(st.cal, release{at: at, taskID: i})
+			st.cal = append(st.cal, uint64(at)<<st.calShift|uint64(i))
 		}
 	}
-	slices.SortFunc(st.cal, func(a, b release) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.taskID, b.taskID))
-	})
-	for st.calWrap < len(st.cal) && st.cal[st.calWrap].at < s.MaxRelease() {
-		st.calWrap++
-	}
-	if len(st.cal) > 0 {
-		st.settleCalendar()
-	}
+	slices.Sort(st.cal)
+	st.calWrap, _ = slices.BinarySearch(st.cal, uint64(s.MaxRelease())<<st.calShift)
+	st.settleCalendar()
 }
 
 // peekRelease returns the earliest unreleased job's release event; ok is
 // false when no job is left to release within the horizon.
 func (st *State) peekRelease() (release, bool) {
-	if st.jitter != nil {
+	if !st.useCal {
 		return st.releases.Peek()
 	}
 	return st.calNext, st.calNext.at < st.horizon
@@ -435,8 +465,8 @@ func (st *State) settleCalendar() {
 			st.calPos = st.calWrap
 			st.calOff += st.set.Hyperperiod()
 		}
-		r := st.cal[st.calPos]
-		r.at += st.calOff
+		k := st.cal[st.calPos]
+		r := release{at: task.Time(k>>st.calShift) + st.calOff, taskID: int(k & (1<<st.calShift - 1))}
 		if r.at >= st.horizon || r.at+st.set.Task(r.taskID).Period <= st.horizon {
 			st.calNext = r
 			return
@@ -467,12 +497,15 @@ func (st *State) advanceReleases(t task.Time) {
 			st.pend.push(job)
 		}
 		st.nextIndex[r.taskID]++
-		if st.jitter == nil {
+		if st.useCal {
 			st.calPos++
 			st.settleCalendar()
 			continue
 		}
-		nextAt := r.at + tk.Period + st.jitter.ReleaseJitter(tk, idx+1)
+		nextAt := r.at + tk.Period
+		if st.jitter != nil {
+			nextAt += st.jitter.ReleaseJitter(tk, idx+1)
+		}
 		if nextAt+tk.Period <= st.horizon {
 			st.releases.ReplaceMin(release{at: nextAt, taskID: r.taskID})
 		} else {
@@ -510,15 +543,18 @@ func Run(s *task.Set, p Policy, cfg Config) (*Result, error) {
 	st.reset(s, cfg)
 	for i := 0; i < s.Len(); i++ {
 		st.jobsPerP[i] = int(s.Hyperperiod() / s.Task(i).Period)
-		if st.jitter == nil {
+		if st.useCal {
 			continue
 		}
-		at := s.Task(i).Release + st.jitter.ReleaseJitter(s.Task(i), 0)
+		at := s.Task(i).Release
+		if st.jitter != nil {
+			at += st.jitter.ReleaseJitter(s.Task(i), 0)
+		}
 		if at+s.Task(i).Period <= st.horizon {
 			st.releases.Push(release{at: at, taskID: i})
 		}
 	}
-	if st.jitter == nil {
+	if st.useCal {
 		st.buildCalendar()
 	}
 
