@@ -475,11 +475,11 @@ func (st *State) settleCalendar() {
 }
 
 // advanceReleases moves every job released at or before t into pending.
-// A jitter-free run steps the calendar cursor. Under jitter, the heap
-// entry's time is the actual release; the next job's earliest point is
-// that release plus the period (sporadic minimum separation). The task's
-// next release replaces its event in place (one sift-down); a task with no
-// release left in the horizon leaves the queue.
+// A calendar run steps its cursor. A heap run replaces the task's event
+// with its next release in place (one sift-down); under jitter the event's
+// time is the actual release, and the next job's earliest point is that
+// release plus the period (sporadic minimum separation). A task with no
+// release left in the horizon leaves the heap.
 func (st *State) advanceReleases(t task.Time) {
 	for {
 		r, ok := st.peekRelease()
