@@ -362,8 +362,10 @@ func Solve(s *task.Set, opt Options) (*Assignment, *SearchStats, error) {
 			}
 		}
 
-		kept := pr.identity(next.len())
-		if !opt.DisableDominance {
+		var kept []int32
+		if opt.DisableDominance {
+			kept = pr.identity(next.len())
+		} else {
 			kept = pr.prune(next, stats, (*frontier).key)
 		}
 		if len(kept) > maxStates {
