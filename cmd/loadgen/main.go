@@ -49,8 +49,10 @@
 // the deadline) from deadline misses (late replies), the number that
 // actually matters to a real-time client.
 //
-// Latencies land in an HDR-style histogram (log2 buckets, 64 sub-buckets:
-// ≤1.6% relative error), from which the report takes p50/p90/p99/p999.
+// Latencies land in one stats.LatencyHistogram per connection and target
+// (log2 octaves × 64 sub-buckets: within 2^-6 of the true value, exact
+// below 64ns, never above the max), merged for the report's
+// p50/p90/p99/p999.
 // The report is JSON on stdout (or -out), ending with a scrape of each
 // server's /state so records-per-sync lands next to the latency it bought.
 //
@@ -64,7 +66,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/bits"
 	"math/rand"
 	"net/http"
 	"os"
@@ -75,6 +76,7 @@ import (
 	"time"
 
 	runtimepkg "nprt/internal/runtime"
+	"nprt/internal/stats"
 	"nprt/internal/task"
 )
 
@@ -87,87 +89,6 @@ const (
 
 func main() {
 	os.Exit(run())
-}
-
-// --- HDR-style histogram ------------------------------------------------
-
-// hist is a log2/64-sub-bucket histogram of nanosecond latencies, the
-// HdrHistogram layout at 6 bits of sub-bucket precision: values up to 64ns
-// are exact, beyond that the relative error is ≤ 2^-6.
-type hist struct {
-	counts []uint64
-	total  uint64
-	sum    uint64
-	max    uint64
-}
-
-const histBuckets = 58 * 64 // covers the full uint64 range
-
-func newHist() *hist { return &hist{counts: make([]uint64, histBuckets)} }
-
-func bucketIdx(v uint64) int {
-	if v < 64 {
-		return int(v)
-	}
-	exp := bits.Len64(v) - 7 // halvings to bring v into [64,128)
-	return exp*64 + int(v>>uint(exp))
-}
-
-// bucketValue is the midpoint of bucket i, the inverse of bucketIdx.
-func bucketValue(i int) uint64 {
-	if i < 64 {
-		return uint64(i)
-	}
-	exp := uint(i/64 - 1)
-	sub := uint64(i%64 + 64)
-	return sub<<exp + 1<<exp/2
-}
-
-func (h *hist) record(d time.Duration) {
-	v := uint64(d)
-	h.counts[bucketIdx(v)]++
-	h.total++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-func (h *hist) merge(o *hist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// quantile returns the latency at fraction q (0 < q ≤ 1).
-func (h *hist) quantile(q float64) time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.total))
-	if rank >= h.total {
-		rank = h.total - 1
-	}
-	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen > rank {
-			return time.Duration(bucketValue(i))
-		}
-	}
-	return time.Duration(h.max)
-}
-
-func (h *hist) mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.total)
 }
 
 // --- seeded event stream ------------------------------------------------
@@ -330,14 +251,14 @@ func scrapeShardHealth(url string, body []byte) []shardHealthRow {
 
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-func latencyOf(h *hist) latencyReport {
+func latencyOf(h *stats.LatencyHistogram) latencyReport {
 	return latencyReport{
-		P50Micros:  micros(h.quantile(0.50)),
-		P90Micros:  micros(h.quantile(0.90)),
-		P99Micros:  micros(h.quantile(0.99)),
-		P999Micros: micros(h.quantile(0.999)),
-		MaxMicros:  micros(time.Duration(h.max)),
-		MeanMicros: micros(h.mean()),
+		P50Micros:  micros(h.Quantile(0.50)),
+		P90Micros:  micros(h.Quantile(0.90)),
+		P99Micros:  micros(h.Quantile(0.99)),
+		P999Micros: micros(h.Quantile(0.999)),
+		MaxMicros:  micros(h.Max()),
+		MeanMicros: micros(h.Mean()),
 	}
 }
 
@@ -345,7 +266,7 @@ func latencyOf(h *hist) latencyReport {
 
 // tstat is one worker's ledger for one target.
 type tstat struct {
-	h          *hist
+	h          stats.LatencyHistogram
 	ok         uint64
 	stale      uint64
 	shed       uint64
@@ -587,9 +508,6 @@ func run() int {
 	var wg sync.WaitGroup
 	for c := 0; c < *conns; c++ {
 		w := &worker{per: make([]tstat, len(targets))}
-		for i := range w.per {
-			w.per[i].h = newHist()
-		}
 		workers[c] = w
 		wg.Add(1)
 		go func() {
@@ -613,7 +531,7 @@ func run() int {
 				landed := w.send(client, ti, endpoints[ti], *batch, payloads[n%uint64(len(payloads))], *retries, *retryMax, deadline)
 				lat := time.Since(sched)
 				if sched.After(measureFrom) {
-					w.per[ti].h.record(lat)
+					w.per[ti].h.Record(lat)
 				}
 				if landed && deadline > 0 {
 					if lat <= deadline {
@@ -636,13 +554,13 @@ func run() int {
 		TargetRate: *rate, Seed: *seed, DurationS: elapsed.Seconds(),
 		DeadlineMs: *deadlineMs,
 	}
-	h := newHist()
+	h := new(stats.LatencyHistogram)
 	for ti, t := range targets {
-		th := newHist()
+		th := new(stats.LatencyHistogram)
 		tr := targetReport{URL: t}
 		for _, w := range workers {
 			s := &w.per[ti]
-			th.merge(s.h)
+			th.Merge(&s.h)
 			tr.Requests += s.reqs
 			tr.OK += s.ok
 			tr.Stale += s.stale
@@ -669,7 +587,7 @@ func run() int {
 			rep.DeadlineMisses += s.dmiss
 		}
 		tr.Latency = latencyOf(th)
-		h.merge(th)
+		h.Merge(th)
 		if len(targets) > 1 {
 			rep.Targets = append(rep.Targets, tr)
 		}
@@ -717,7 +635,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "loadgen: %d errored requests (fail-on-error)\n", rep.Errors)
 		code = exitAssertFailed
 	}
-	if *p99Max > 0 && h.quantile(0.99) > *p99Max {
+	if *p99Max > 0 && h.Quantile(0.99) > *p99Max {
 		fmt.Fprintf(os.Stderr, "loadgen: p99 %.0fµs exceeds bound %v\n", rep.Latency.P99Micros, *p99Max)
 		code = exitAssertFailed
 	}

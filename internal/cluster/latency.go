@@ -1,146 +1,83 @@
 package cluster
 
 import (
-	"math/bits"
 	"sync"
 	"time"
+
+	"nprt/internal/stats"
 )
 
 // LatencyTracker aggregates per-op WAL sojourn samples into a sliding
-// window of per-epoch buckets and answers quantile queries over the
-// window. Samples land in log2 histogram buckets (same shape as loadgen's
-// hist), so Record is O(1) and the tracker never allocates after
+// window of per-epoch histograms and answers quantile queries over the
+// window. Samples land in a stats.LatencyHistogram (within 2^-6 of the
+// true value), so Record is O(1) and the tracker never allocates after
 // construction. The window advances on epoch boundaries: Advance(e)
-// retires the bucket that falls out of the window and folds its counts out
-// of the running aggregate. Evaluate quantiles BEFORE advancing past the
-// epoch whose samples you want included.
+// clears the histograms that fall out of the window. A query merges the
+// window into one scratch histogram. Evaluate quantiles BEFORE advancing
+// past the epoch whose samples you want included.
 //
 // Safe for concurrent use: Record fires from the journal Observe hook on
 // whatever goroutine drives the shard's WAL, while Advance/Quantile run
 // under the cluster lock.
 type LatencyTracker struct {
 	mu     sync.Mutex
-	window int // buckets retained (epochs), >= 1
 	epoch  int64
-	ring   []latBucket
-	head   int // ring slot holding the current epoch
-	agg    [64]uint64
-	n      uint64
-}
-
-type latBucket struct {
-	epoch int64
-	hist  [64]uint64
-	n     uint64
-	used  bool
+	ring   []stats.LatencyHistogram // one per epoch in the window
+	head   int                      // ring slot holding the current epoch
+	merged stats.LatencyHistogram   // scratch: the ring merged by Quantile
 }
 
 // NewLatencyTracker builds a tracker retaining `window` epochs of samples
 // (minimum 1; window 1 means "the current epoch only" — per-tick p99).
 func NewLatencyTracker(window int) *LatencyTracker {
-	if window < 1 {
-		window = 1
-	}
-	return &LatencyTracker{window: window, ring: make([]latBucket, window)}
+	return &LatencyTracker{ring: make([]stats.LatencyHistogram, max(window, 1))}
 }
 
-// latBucketIdx maps a duration to its log2 bucket.
-func latBucketIdx(d time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	i := bits.Len64(uint64(d)) - 1
-	if i > 63 {
-		i = 63
-	}
-	return i
-}
-
-// latBucketValue is the conservative (upper-bound) duration for bucket i.
-func latBucketValue(i int) time.Duration {
-	if i >= 63 {
-		return time.Duration(1) << 62
-	}
-	return time.Duration(1) << uint(i+1)
-}
-
-// Record adds one sample to the current epoch's bucket.
+// Record adds one sample to the current epoch's histogram.
 func (t *LatencyTracker) Record(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := &t.ring[t.head]
-	if !b.used {
-		b.used = true
-		b.epoch = t.epoch
-	}
-	i := latBucketIdx(d)
-	b.hist[i]++
-	b.n++
-	t.agg[i]++
-	t.n++
+	t.ring[t.head].Record(d)
 }
 
-// Advance moves the tracker to epoch e, retiring buckets that fall out of
-// the window. A no-op when e is not past the current epoch. A jump of
-// `window` or more epochs clears everything.
+// Advance moves the tracker to epoch e, clearing the histograms that fall
+// out of the window. A no-op when e is not past the current epoch. A jump
+// of `window` or more epochs clears everything.
 func (t *LatencyTracker) Advance(e int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e <= t.epoch {
 		return
 	}
-	steps := e - t.epoch
-	if steps >= int64(t.window) {
-		for i := range t.ring {
-			t.ring[i] = latBucket{}
-		}
-		t.agg = [64]uint64{}
-		t.n = 0
-		t.epoch = e
-		t.head = 0
-		return
-	}
+	steps := min(e-t.epoch, int64(len(t.ring)))
 	for s := int64(0); s < steps; s++ {
-		t.head = (t.head + 1) % t.window
-		b := &t.ring[t.head]
-		if b.used {
-			for i, c := range b.hist {
-				t.agg[i] -= c
-			}
-			t.n -= b.n
-			*b = latBucket{}
-		}
+		t.head = (t.head + 1) % len(t.ring)
+		t.ring[t.head] = stats.LatencyHistogram{}
 	}
 	t.epoch = e
 }
 
-// Quantile returns the q-quantile (0 < q <= 1) over the window, as the
-// upper bound of the bucket holding that rank. Zero when no samples.
+// Quantile returns the q-quantile (0 < q <= 1) over the window, never
+// above the window's largest sample. Zero when no samples.
 func (t *LatencyTracker) Quantile(q float64) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.n == 0 {
-		return 0
+	t.merged = stats.LatencyHistogram{}
+	for i := range t.ring {
+		t.merged.Merge(&t.ring[i])
 	}
-	rank := uint64(q * float64(t.n))
-	if rank >= t.n {
-		rank = t.n - 1
-	}
-	var seen uint64
-	for i, c := range t.agg {
-		seen += c
-		if seen > rank {
-			return latBucketValue(i)
-		}
-	}
-	return latBucketValue(63)
+	return t.merged.Quantile(q)
 }
 
 // Count returns the number of samples currently in the window.
 func (t *LatencyTracker) Count() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	var n uint64
+	for i := range t.ring {
+		n += t.ring[i].Count()
+	}
+	return n
 }
 
 // Reset drops all samples but keeps the epoch position — used after a
@@ -148,10 +85,5 @@ func (t *LatencyTracker) Count() uint64 {
 func (t *LatencyTracker) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.ring {
-		t.ring[i] = latBucket{}
-	}
-	t.agg = [64]uint64{}
-	t.n = 0
-	t.head = 0
+	clear(t.ring)
 }

@@ -110,8 +110,8 @@ const (
 	// grayDelay is the browned drive's per-op delay; graySLO is the WAL
 	// sojourn p99 ceiling; grayDeadline is the per-event client deadline.
 	// delay > deadline > SLO: a browned primary misses every deadline,
-	// and the tracker (log2 buckets: 10ms rounds up to 16.8ms) sees the
-	// breach on the first windowed sample.
+	// and the tracker (within 2^-6: 10ms reads as 10ms) sees the breach
+	// on the first windowed sample.
 	grayDelay    = 10 * time.Millisecond
 	graySLO      = 2 * time.Millisecond
 	grayDeadline = 5 * time.Millisecond

@@ -1,13 +1,13 @@
 // Package stats provides the streaming statistics used by the experiment
-// harness: Welford mean/variance accumulators, simple rate counters and
-// fixed-bin histograms. Everything is allocation-free after construction so
-// accumulators can sit on the simulator's hot path.
+// harness and the service: Welford mean/variance accumulators, simple rate
+// counters and a log-bucketed latency histogram. Everything is
+// allocation-free after construction so accumulators can sit on the
+// simulator's hot path and histograms on the WAL write path.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator computes running mean and variance with Welford's algorithm.
@@ -36,14 +36,6 @@ func (a *Accumulator) Add(x float64) {
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
-}
-
-// AddN folds the same observation n times (cheap bulk insertion for the
-// "accurate jobs contribute zero error" convention).
-func (a *Accumulator) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		a.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -77,31 +69,6 @@ func (a *Accumulator) Max() float64 {
 		return 0
 	}
 	return a.max
-}
-
-// Sum returns n*mean, the total of all observations.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
-
-// Merge folds another accumulator into this one (parallel Welford merge).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
 }
 
 // String renders "mean±σ (n=N)".
@@ -145,102 +112,4 @@ func (r *Rate) Percent() float64 { return 100 * r.Fraction() }
 // String renders "12.3% (41/333)".
 func (r *Rate) String() string {
 	return fmt.Sprintf("%.1f%% (%d/%d)", r.Percent(), r.Events, r.Trials)
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi) with out-of-range
-// observations clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-}
-
-// NewHistogram returns a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Quantile returns an approximate q-quantile (bin midpoint), q in [0,1].
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen int64
-	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, b := range h.Bins {
-		seen += b
-		if seen > target {
-			return h.Lo + (float64(i)+0.5)*width
-		}
-	}
-	return h.Hi
-}
-
-// MeanOf returns the arithmetic mean of a slice (0 when empty).
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDevOf returns the population standard deviation of a slice.
-func StdDevOf(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := MeanOf(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// MedianOf returns the median of a slice (0 when empty). The input is not
-// modified.
-func MedianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
