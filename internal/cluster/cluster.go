@@ -50,16 +50,20 @@ import (
 type Shard struct {
 	ID    int
 	Store *runtime.Store
-	inc   *feasibility.Incremental
+	// inc is the router's mirror of the shard's resident set, probed
+	// before the shard applies an event. The shard runtime screens the
+	// commit on its own curve of the same type (runtime.Runtime.Add).
+	inc *feasibility.Incremental
 
 	// closed marks the Store's writer as closed (reopen in progress or
 	// permanently failed); guards against double-close in the retry loop.
 	closed bool
 }
 
-// Probe asks the incremental Jeffay screen whether c fits this shard, in
-// the accurate and deepest-imprecise profiles (verdict-identical to a full
-// feasibility.Profiles over the shard set plus c).
+// Probe asks the router's mirror whether c fits this shard, in the
+// accurate and deepest-imprecise profiles (verdict-identical to a full
+// feasibility.Profiles over the mirrored set plus c). It only suggests: the
+// shard's own screen decides when the event applies.
 func (s *Shard) Probe(c *task.Task) (accurateOK, deepestOK bool) { return s.inc.Probe(c) }
 
 // Util returns the mirror's utilization in mode m.

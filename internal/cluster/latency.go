@@ -13,7 +13,8 @@ import (
 // true value), so Record is O(1) and the tracker never allocates after
 // construction. The window advances on epoch boundaries: Advance(e)
 // clears the histograms that fall out of the window. A query merges the
-// window into one scratch histogram. Evaluate quantiles BEFORE advancing
+// window into one scratch histogram. Clears and merges touch only each
+// histogram's used buckets, a few octaves for WAL sojourns. Evaluate quantiles BEFORE advancing
 // past the epoch whose samples you want included.
 //
 // Safe for concurrent use: Record fires from the journal Observe hook on
@@ -52,7 +53,7 @@ func (t *LatencyTracker) Advance(e int64) {
 	steps := min(e-t.epoch, int64(len(t.ring)))
 	for s := int64(0); s < steps; s++ {
 		t.head = (t.head + 1) % len(t.ring)
-		t.ring[t.head] = stats.LatencyHistogram{}
+		t.ring[t.head].Reset()
 	}
 	t.epoch = e
 }
@@ -62,7 +63,7 @@ func (t *LatencyTracker) Advance(e int64) {
 func (t *LatencyTracker) Quantile(q float64) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.merged = stats.LatencyHistogram{}
+	t.merged.Reset()
 	for i := range t.ring {
 		t.merged.Merge(&t.ring[i])
 	}
@@ -85,5 +86,7 @@ func (t *LatencyTracker) Count() uint64 {
 func (t *LatencyTracker) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	clear(t.ring)
+	for i := range t.ring {
+		t.ring[i].Reset()
+	}
 }

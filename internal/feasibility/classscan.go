@@ -200,6 +200,24 @@ func (cv *curve) slackBelow(p task.Time) [2]task.Time {
 	return cv.steps[si-1].min
 }
 
+// gammaMin returns the minimum of g (condition 1's γ) and every γ_i^L =
+// L/(w_i + D(L)) in column col, scanning one row per class: the class's
+// largest WCET. A smaller WCET w ≤ max has a larger or equal quotient at
+// every step point, L/(w + D) ≥ L/(max + D), exactly and also after float
+// rounding (integer-to-float conversion and division are monotone), so the
+// largest WCET attains its class's minimum and the per-row scan of report
+// reaches the same value. min of floats does not depend on scan order, and
+// no quotient is NaN: L > 0 and the demand is at least one positive WCET.
+func (cv *curve) gammaMin(col int, g float64) float64 {
+	for ci := range cv.classes {
+		c := &cv.classes[ci]
+		for si := 0; si < len(cv.steps) && cv.steps[si].L < c.p; si++ {
+			g = min(g, float64(cv.steps[si].L)/float64(c.max[col]+cv.steps[si].d[col]))
+		}
+	}
+	return g
+}
+
 // report runs Theorem 1 on s in mode m, reading condition 2's demand from
 // the curve's column col (loaded from s with m in that column).
 //

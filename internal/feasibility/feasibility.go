@@ -60,6 +60,19 @@ type Report struct {
 	ArgMinL    task.Time
 }
 
+// Summary is the part of a Report that admission screening reads: the
+// verdict, condition 1's utilization and γ_min.
+type Summary struct {
+	Schedulable bool
+	Utilization float64
+	GammaMin    float64
+}
+
+// Summary returns the report's screening summary.
+func (r Report) Summary() Summary {
+	return Summary{Schedulable: r.Schedulable, Utilization: r.Utilization, GammaMin: r.GammaMin}
+}
+
 // maxViolationsKept bounds Report.Violations so a wildly infeasible set does
 // not allocate one record per L.
 const maxViolationsKept = 16
@@ -132,9 +145,10 @@ func Schedulable(s *task.Set, m task.Mode) bool {
 // Profiles runs Theorem 1 in both admission profiles: every job accurate,
 // and every job at its deepest imprecise level — the profile whose pass
 // underwrites the EDF+ESR zero-miss guarantee. The runtime admission
-// controller (internal/runtime) screens every Add/Remove against this pair:
-// accurate-pass means full admission, deepest-only-pass means admission in a
-// degraded (imprecision-reliant) regime, deepest-fail means rejection.
+// controller (internal/runtime) screens every Add/Remove against this pair,
+// read off its persistent curve through Incremental.Reports: accurate-pass
+// means full admission, deepest-only-pass means admission in a degraded
+// (imprecision-reliant) regime, deepest-fail means rejection.
 func Profiles(s *task.Set) (accurate, deepest Report) {
 	var cv curve
 	cv.load(s, task.Accurate, task.Deepest)

@@ -8,10 +8,13 @@ import (
 )
 
 // Incremental caches the Theorem-1 condition-2 state of one admitted task
-// set so that placement probes — "would this candidate be schedulable on
-// this shard?" — do not recompute Profiles from scratch. It is the hot path
-// of feasibility-aware bin-packing (internal/cluster), where every Add
-// probes every candidate shard.
+// set so that neither a placement probe — "would this candidate be
+// schedulable on this shard?" — nor the admission screen of a committed
+// change recomputes Profiles from scratch. It has two users: the router's
+// per-shard mirror in feasibility-aware bin-packing (internal/cluster),
+// where every Add probes every candidate shard, and each shard runtime's
+// own admission screen (internal/runtime), which commits a candidate with
+// Add and reads Reports.
 //
 // Cached state: the set in task.New order (stable period sort) and its
 // period-class curve (classscan.go) in both admission profiles: the shared
@@ -40,9 +43,10 @@ import (
 // Condition 1 is recomputed per probe as a float sum in merged order, which
 // keeps the verdict bit-identical to Check's (float addition order matters).
 //
-// The verdicts returned by Probe are proven bit-identical to running
-// feasibility.Profiles on the rebuilt set by the differential tests in
-// incremental_test.go. Incremental is not safe for concurrent use.
+// Probe's verdicts and Reports' summaries are proven bit-identical to
+// running feasibility.Profiles on the rebuilt set by the differential tests
+// and FuzzIncrementalReports in incremental_test.go. Incremental is not
+// safe for concurrent use.
 type Incremental struct {
 	names   []string
 	periods []task.Time
@@ -115,6 +119,42 @@ func (inc *Incremental) Utilization(m task.Mode) float64 {
 		u += float64(w) / float64(inc.periods[i])
 	}
 	return u
+}
+
+// Reports returns the Theorem-1 screening summary of the cached set in the
+// accurate and deepest profiles, bit-identical to the Summary of each
+// Report feasibility.Profiles gives for the same set. The cache must not be
+// empty.
+//
+// Utilization is summed in set order, as Check sums it, and 1/u is
+// condition 1's γ. A profile passes when condition 1 holds and every class
+// passes (its largest WCET is within its slack). γ_min is scanned per
+// class, not per row: see curve.gammaMin.
+func (inc *Incremental) Reports() (accurate, deepest Summary) {
+	var out [2]Summary
+	for col, m := range [2]task.Mode{task.Accurate, task.Deepest} {
+		u := inc.Utilization(m)
+		ok := !(u > 1)
+		for ci := range inc.cv.classes {
+			ok = ok && inc.cv.classes[ci].pass(col)
+		}
+		out[col] = Summary{Schedulable: ok, Utilization: u, GammaMin: inc.cv.gammaMin(col, 1/u)}
+	}
+	return out[0], out[1]
+}
+
+// HyperperiodWith returns the lcm of p and the cached periods — the
+// hyper-period task.New computes for the cached set with a task of period
+// p appended — or 0 when it overflows int64. Every partial lcm divides the
+// whole one, so the order of the distinct periods does not matter.
+func (inc *Incremental) HyperperiodWith(p task.Time) task.Time {
+	h := p
+	for i := range inc.cv.classes {
+		if h = task.LCM(h, inc.cv.classes[i].p); h == 0 {
+			break
+		}
+	}
+	return h
 }
 
 // insertPos returns the task.New position of a candidate with period p: the

@@ -1,6 +1,7 @@
 package feasibility_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -532,4 +533,124 @@ func TestIncrementalWorkPerUpdate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Period families for the Reports differential: harmonic (few step points,
+// whole classes), coprime (many step points) and tie-heavy (large classes
+// whose largest WCET changes as members come and go).
+var reportsPeriods = [][]task.Time{
+	{10, 20, 40, 80},
+	{7, 11, 13, 17, 19, 23},
+	{12, 12, 12, 30, 30, 60},
+}
+
+// reportsModel drives an Incremental through adds and removes and holds
+// Reports to the Summary of Profiles(task.New(...)) of the insertion-ordered
+// list after every step.
+type reportsModel struct {
+	t       *testing.T
+	periods []task.Time
+	inc     *feasibility.Incremental
+	list    []task.Task // insertion order
+	next    int
+	seen    *[3]int // steps checked with both, the deepest only, no profile passing
+}
+
+// step performs one operation chosen by two bytes: a remove of any
+// resident, or an add whose WCET may reach the period (infeasible sets
+// stay in the cache, as a rejected candidate does until it is removed).
+func (m *reportsModel) step(op, arg byte) {
+	if len(m.list) > 0 && op%3 == 0 {
+		v := int(arg) % len(m.list)
+		if !m.inc.Remove(m.list[v].Name) {
+			m.t.Fatalf("Remove(%q) reported absent", m.list[v].Name)
+		}
+		m.list = append(m.list[:v], m.list[v+1:]...)
+	} else {
+		p := m.periods[int(arg)%len(m.periods)]
+		w := 2 + task.Time(op/3)%(p-1) // up to p: one task alone is valid
+		c := task.Task{Name: name(m.next), Period: p, WCETAccurate: w, WCETImprecise: max(w/3, 1)}
+		if op%5 == 4 && c.WCETImprecise > 1 {
+			// A third level: Deepest differs from Imprecise.
+			c.ExtraLevels = []task.Level{{WCET: c.WCETImprecise / 2}}
+		}
+		m.next++
+		m.inc.Add(&c)
+		m.list = append(m.list, c)
+	}
+	m.check()
+}
+
+func (m *reportsModel) check() {
+	m.t.Helper()
+	if len(m.list) == 0 {
+		return
+	}
+	s, err := task.New(m.list)
+	if err != nil {
+		m.t.Fatalf("task.New: %v", err)
+	}
+	wantA, wantD := feasibility.Profiles(s)
+	gotA, gotD := m.inc.Reports()
+	for _, c := range []struct {
+		prof      string
+		got, want feasibility.Summary
+	}{{"accurate", gotA, wantA.Summary()}, {"deepest", gotD, wantD.Summary()}} {
+		if c.got.Schedulable != c.want.Schedulable ||
+			math.Float64bits(c.got.Utilization) != math.Float64bits(c.want.Utilization) ||
+			math.Float64bits(c.got.GammaMin) != math.Float64bits(c.want.GammaMin) {
+			m.t.Fatalf("%s Reports %+v, Profiles %+v, set %v", c.prof, c.got, c.want, m.list)
+		}
+	}
+	switch {
+	case wantA.Schedulable:
+		m.seen[0]++
+	case wantD.Schedulable:
+		m.seen[1]++
+	default:
+		m.seen[2]++
+	}
+}
+
+// runReports plays a script: its first byte picks the period family, each
+// following pair of bytes one step. Inputs are capped so an execution
+// stays short.
+func runReports(t *testing.T, data []byte, seen *[3]int) {
+	if len(data) == 0 {
+		return
+	}
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	m := &reportsModel{t: t, periods: reportsPeriods[int(data[0])%len(reportsPeriods)],
+		inc: feasibility.NewIncremental(nil), seen: seen}
+	for i := 1; i+1 < len(data); i += 2 {
+		m.step(data[i], data[i+1])
+	}
+}
+
+// TestIncrementalReportsMatchProfiles is FuzzIncrementalReports' seeded
+// twin: random scripts over every period family, long enough to fill the
+// sets past infeasibility and drain them again.
+func TestIncrementalReportsMatchProfiles(t *testing.T) {
+	rnd := rand.New(rand.NewSource(29))
+	var seen [3]int
+	for trial := 0; trial < 150; trial++ {
+		data := make([]byte, 1+2*(20+rnd.Intn(100)))
+		rnd.Read(data)
+		data[0] = byte(trial)
+		runReports(t, data, &seen)
+	}
+	if seen[0] == 0 || seen[1] == 0 || seen[2] == 0 {
+		t.Fatalf("steps by verdict (accurate, deepest only, neither) = %v: a verdict never came up", seen)
+	}
+}
+
+// FuzzIncrementalReports holds Reports to Profiles, bit for bit, after
+// every add and remove of an arbitrary script.
+func FuzzIncrementalReports(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 4, 1, 7, 2, 10, 3, 0, 0, 3, 1})
+	f.Add([]byte{1, 200, 5, 201, 4, 202, 3, 6, 0, 255, 5, 9, 2})
+	f.Add([]byte{2, 4, 0, 9, 1, 14, 2, 40, 3, 3, 0, 4, 4, 6, 1})
+	f.Fuzz(func(t *testing.T, data []byte) { runReports(t, data, new([3]int)) })
 }

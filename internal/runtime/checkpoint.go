@@ -72,8 +72,8 @@ func (r *Runtime) Checkpoint() *Checkpoint {
 		Digest:        r.digest,
 		Metrics:       r.Metrics(), // governor action counters merged in
 	}
-	if r.set != nil {
-		cp.ESR = esr.NewTracker(r.set).State()
+	if set := r.taskSet(); set != nil {
+		cp.ESR = esr.NewTracker(set).State()
 	}
 	return cp
 }
@@ -196,15 +196,19 @@ func FromCheckpoint(cp *Checkpoint) (*Runtime, error) {
 		return nil, fmt.Errorf("%w: ESR slack table without tasks", ErrCheckpointCorrupt)
 	}
 
+	// Add and Remove update the specs in place, so the runtime owns its
+	// copy rather than writing into the caller's snapshot. The screen's
+	// curve is seeded from the same specs, and the set just validated is
+	// the one taskSet would build.
+	r.specs = append([]TaskSpec(nil), cp.Tasks...)
+	r.screen.Reset(r.specTasks())
+	r.set = set
 	// Rebuild the derived plan for the restored set.
 	var d Decision
-	if err := r.rebuild(set, &d); err != nil {
+	if err := r.replan(&d); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
-	// Add and Remove update the specs in place, so the runtime owns its
-	// copy rather than writing into the caller's snapshot.
-	r.specs = append([]TaskSpec(nil), cp.Tasks...)
-	r.met = cp.Metrics // rebuild bumped Replans; the snapshot's counters win
+	r.met = cp.Metrics // replan bumped Replans; the snapshot's counters win
 	r.shed = append([]string(nil), cp.Shed...)
 	r.overloadLeft = cp.OverloadLeft
 	r.overloadRates = cp.OverloadRates

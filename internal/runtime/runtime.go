@@ -197,7 +197,7 @@ type Decision struct {
 }
 
 // fillProfiles copies the Theorem-1 screening scalars into the decision.
-func (d *Decision) fillProfiles(acc, deep feasibility.Report) {
+func (d *Decision) fillProfiles(acc, deep feasibility.Summary) {
 	d.AccurateOK = acc.Schedulable
 	d.AccurateUtil = acc.Utilization
 	d.AccurateGammaMin = acc.GammaMin
@@ -253,9 +253,10 @@ func (m Metrics) validate() error {
 type Runtime struct {
 	opt Options
 
-	specs  []TaskSpec // admitted tasks, insertion order, unique names
-	set    *task.Set  // effective set; nil while empty
-	policy sim.Policy // base policy for the current set; nil while empty
+	specs  []TaskSpec               // admitted tasks, insertion order, unique names
+	screen *feasibility.Incremental // Theorem-1 curve of specs, in task.New order
+	set    *task.Set                // task.New of specs, built on read (taskSet); nil while stale
+	policy sim.Policy               // base policy for the current set; nil while empty
 	prov   *offline.PlanProvenance
 
 	gov  *Governor
@@ -283,6 +284,7 @@ func New(opt Options) (*Runtime, error) {
 	opt.Governor = gov.Config()
 	return &Runtime{
 		opt:    opt,
+		screen: feasibility.NewIncremental(nil),
 		gov:    gov,
 		root:   rng.New(opt.Seed ^ rootSeedSalt),
 		digest: fnvOffset,
@@ -308,8 +310,34 @@ func (r *Runtime) Metrics() Metrics {
 	return m
 }
 
-// Set returns the current effective task set (nil while empty). Read-only.
-func (r *Runtime) Set() *task.Set { return r.set }
+// Set returns the current effective task set (nil while empty), built on
+// the first read after an admission change. Read-only.
+func (r *Runtime) Set() *task.Set { return r.taskSet() }
+
+// taskSet returns task.New of the admitted specs in insertion order, nil
+// while none are admitted. Admission screens on r.screen and only marks the
+// set stale, so the set is built here, on the first read after a change.
+// Every spec was validated on admission or restore and the hyper-period was
+// checked then, so task.New failing is a bug.
+func (r *Runtime) taskSet() *task.Set {
+	if r.set == nil && len(r.specs) > 0 {
+		set, err := task.New(r.specTasks())
+		if err != nil {
+			panic(fmt.Sprintf("runtime: admitted specs do not form a set: %v", err))
+		}
+		r.set = set
+	}
+	return r.set
+}
+
+// specTasks returns the admitted tasks in insertion order.
+func (r *Runtime) specTasks() []task.Task {
+	ts := make([]task.Task, len(r.specs))
+	for i := range r.specs {
+		ts[i] = r.specs[i].Task
+	}
+	return ts
+}
 
 // Tasks returns the admitted specs in insertion order (copy).
 func (r *Runtime) Tasks() []TaskSpec {
@@ -338,6 +366,10 @@ func (r *Runtime) Governor() *Governor { return r.gov }
 // (invalid task, missing or duplicate name) returns an error and changes
 // nothing; a well-formed request that fails screening returns a Rejected
 // decision and changes nothing. Admission rebuilds the plan.
+//
+// The screen commits the candidate to the runtime's period-class curve and
+// reads its Reports, which equal feasibility.Profiles of the candidate set
+// bit for bit; a rejected candidate is removed from the curve again.
 func (r *Runtime) Add(spec TaskSpec) (Decision, error) {
 	d := Decision{Op: "add", Task: spec.Task.Name}
 	if spec.Task.Name == "" {
@@ -350,16 +382,11 @@ func (r *Runtime) Add(spec TaskSpec) (Decision, error) {
 		return d, fmt.Errorf("%w: %q", ErrDuplicateTask, spec.Task.Name)
 	}
 
-	var candSet *task.Set
-	var err error
-	if r.set == nil {
-		candSet, err = task.New([]task.Task{spec.Task})
-	} else {
-		candSet, err = r.set.With(spec.Task)
-	}
-	if err != nil {
-		// Structurally inadmissible (e.g. hyper-period overflow): a valid
-		// request whose admission is impossible, not a malformed request.
+	if r.screen.HyperperiodWith(spec.Task.Period) == 0 {
+		// Structurally inadmissible: a valid request whose admission is
+		// impossible, not a malformed request. task.New names the task at
+		// which the running lcm overflows, which need not be the candidate.
+		_, err := task.New(append(r.specTasks(), spec.Task))
 		d.Verdict = Rejected
 		d.Reason = err.Error()
 		r.met.Rejects++
@@ -367,9 +394,11 @@ func (r *Runtime) Add(spec TaskSpec) (Decision, error) {
 		return d, nil
 	}
 
-	acc, deep := feasibility.Profiles(candSet)
+	r.screen.Add(&spec.Task)
+	acc, deep := r.screen.Reports()
 	d.fillProfiles(acc, deep)
 	if !deep.Schedulable {
+		r.screen.Remove(spec.Task.Name)
 		d.Verdict = Rejected
 		d.Reason = "deepest-imprecise profile fails Theorem 1: no guarantee would survive admission"
 		r.met.Rejects++
@@ -377,10 +406,14 @@ func (r *Runtime) Add(spec TaskSpec) (Decision, error) {
 		return d, nil
 	}
 
-	if err := r.rebuild(candSet, &d); err != nil {
+	r.specs = append(r.specs, spec)
+	r.set = nil
+	if err := r.replan(&d); err != nil {
+		r.specs = r.specs[:len(r.specs)-1]
+		r.set = nil
+		r.screen.Remove(spec.Task.Name)
 		return d, err
 	}
-	r.specs = append(r.specs, spec)
 	if acc.Schedulable {
 		d.Verdict = Admitted
 		r.met.Admits++
@@ -403,15 +436,21 @@ func (r *Runtime) Remove(name string) (Decision, error) {
 	if i < 0 {
 		return d, fmt.Errorf("%w: %q", ErrUnknownTask, name)
 	}
-	newSet := r.set.Without(r.setIndex(name))
-	if newSet != nil {
-		acc, deep := feasibility.Profiles(newSet)
-		d.fillProfiles(acc, deep)
+	removed := r.specs[i]
+	r.specs = slices.Delete(r.specs, i, i+1)
+	r.set = nil
+	r.screen.Remove(name)
+	if r.screen.Len() > 0 {
+		d.fillProfiles(r.screen.Reports())
 	}
-	if err := r.rebuild(newSet, &d); err != nil {
+	if err := r.replan(&d); err != nil {
+		r.specs = slices.Insert(r.specs, i, removed)
+		r.set = nil
+		// Reset rather than Add: Add would put the task after its equal
+		// periods, not back at its place among them.
+		r.screen.Reset(r.specTasks())
 		return d, err
 	}
-	r.specs = slices.Delete(r.specs, i, i+1)
 	// Drop the removed task from the shed set, preserving shed order.
 	kept := r.shed[:0]
 	for _, n := range r.shed {
@@ -456,27 +495,19 @@ func (r *Runtime) findSpec(name string) int {
 	return -1
 }
 
-// setIndex returns the index of the named task in the effective set, which
-// must hold it.
-func (r *Runtime) setIndex(name string) int {
-	i := 0
-	for r.set.Task(i).Name != name {
-		i++
-	}
-	return i
-}
-
-// rebuild commits a new effective set, re-planning the policy. On planner
-// failure the runtime keeps its previous state and the error is returned
-// (admission must be atomic); callers update r.specs only after it succeeds.
-func (r *Runtime) rebuild(set *task.Set, d *Decision) error {
+// replan rebuilds the policy for the admitted specs as they stand. On
+// planner failure the policy is left as it was and the error is returned;
+// the caller then undoes its change to the specs (admission must be
+// atomic). Only the resilient planner reads the set, so only it builds one
+// per event.
+func (r *Runtime) replan(d *Decision) error {
 	var pol sim.Policy
 	var prov *offline.PlanProvenance
-	if set != nil {
+	if len(r.specs) > 0 {
 		switch r.opt.Planner {
 		case PlanResilient:
 			var err error
-			pol, prov, err = offline.ResilientPlan(set, r.opt.Resilient.options())
+			pol, prov, err = offline.ResilientPlan(r.taskSet(), r.opt.Resilient.options())
 			if err != nil {
 				return fmt.Errorf("runtime: re-planning: %w", err)
 			}
@@ -487,7 +518,7 @@ func (r *Runtime) rebuild(set *task.Set, d *Decision) error {
 		d.Replanned = true
 		r.met.Replans++
 	}
-	r.set, r.policy, r.prov = set, pol, prov
+	r.policy, r.prov = pol, prov
 	return nil
 }
 
@@ -532,7 +563,8 @@ func (r *Runtime) RunEpoch() (EpochReport, error) {
 	overloaded := r.overloadLeft > 0
 	rep.Degraded = overloaded || len(r.shed) > 0
 
-	if r.set == nil {
+	set := r.taskSet()
+	if set == nil {
 		rep.Idle = true
 		if overloaded {
 			r.overloadLeft--
@@ -543,7 +575,7 @@ func (r *Runtime) RunEpoch() (EpochReport, error) {
 
 	cfg := sim.Config{
 		Hyperperiods: r.opt.EpochHyperperiods,
-		Sampler:      sim.NewRandomSampler(r.set, seed),
+		Sampler:      sim.NewRandomSampler(set, seed),
 		Containment:  r.opt.Containment,
 	}
 	if overloaded {
@@ -554,7 +586,7 @@ func (r *Runtime) RunEpoch() (EpochReport, error) {
 	if len(r.shed) > 0 {
 		pol = &shedPolicy{inner: r.policy, forced: r.forcedIDs()}
 	}
-	res, err := sim.Run(r.set, pol, cfg)
+	res, err := sim.Run(set, pol, cfg)
 	if err != nil {
 		return rep, fmt.Errorf("runtime: epoch %d: %w", rep.Epoch, err)
 	}
@@ -628,10 +660,11 @@ func (r *Runtime) shedVictim() string {
 
 // forcedIDs maps the shed names onto the current set's dense task IDs.
 func (r *Runtime) forcedIDs() []bool {
-	forced := make([]bool, r.set.Len())
+	set := r.taskSet()
+	forced := make([]bool, set.Len())
 	for _, n := range r.shed {
-		for i := 0; i < r.set.Len(); i++ {
-			if r.set.Task(i).Name == n {
+		for i := 0; i < set.Len(); i++ {
+			if set.Task(i).Name == n {
 				forced[i] = true
 				break
 			}

@@ -3,11 +3,13 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"nprt/internal/feasibility"
 	"nprt/internal/offline"
 	"nprt/internal/sim"
 	"nprt/internal/task"
@@ -304,64 +306,127 @@ func TestShedPolicyForcesDeepest(t *testing.T) {
 }
 
 // TestChurnKeepsSetEqualToNew drives a seeded add/remove churn, with
-// rejections, duplicate names and unknown removes, and checks after every
-// Apply that the incrementally maintained set is exactly task.New of the
-// admitted specs and that Tasks() stays in insertion order.
+// rejections, duplicate names and unknown removes, under both planners. After
+// every Apply it checks that the set built on read is exactly task.New of
+// the admitted specs, that Tasks() stays in insertion order, and that the
+// decision's six screening scalars equal feasibility.Profiles of the
+// candidate set (adds, rejected ones included) or of the remaining set
+// (removes) bit for bit.
 func TestChurnKeepsSetEqualToNew(t *testing.T) {
-	r := mkRuntime(t, Options{})
+	for _, opt := range []Options{
+		{},
+		{Planner: PlanResilient, Resilient: ResilientConfig{StartRung: offline.RungFlippedEDF}},
+	} {
+		t.Run(opt.Planner.String(), func(t *testing.T) { churnAgainstNew(t, opt) })
+	}
+}
+
+func churnAgainstNew(t *testing.T, opt Options) {
+	r := mkRuntime(t, opt)
 	rng := rand.New(rand.NewSource(5))
 	periods := []task.Time{20, 40, 40, 80, 80, 80}
-	var held []string // admitted names, insertion order
+	var held []task.Task // admitted tasks, insertion order
 	var rejects, removes, stale int
 	for step := 0; step < 600; step++ {
 		name := fmt.Sprintf("n%d", rng.Intn(24))
 		var ev Event
+		var screened []task.Task // the set the decision screens
 		if rng.Intn(5) < 3 {
 			p := periods[rng.Intn(len(periods))]
 			w := 2 + task.Time(rng.Intn(int(p/3)))
 			ev = Event{Op: "add", Task: &TaskSpec{Task: mkTask(name, p, w, 1+w/4), Criticality: rng.Intn(3)}}
+			screened = append(slices.Clone(held), ev.Task.Task)
 		} else {
 			ev = Event{Op: "remove", Name: name}
+			screened = slices.DeleteFunc(slices.Clone(held), func(tk task.Task) bool { return tk.Name == name })
 		}
 		d, err := r.Apply(ev)
 		switch {
 		case IsStaleRequest(err):
 			stale++
+			screened = nil
 		case err != nil:
 			t.Fatalf("step %d: %v", step, err)
 		case ev.Op == "remove":
 			removes++
-			held = slices.DeleteFunc(held, func(n string) bool { return n == name })
+			held = screened
 		case d.Verdict == Rejected:
 			rejects++
 		default:
-			held = append(held, name)
+			held = screened
+		}
+		if len(screened) > 0 {
+			acc, deep := feasibility.Profiles(task.MustNew(screened))
+			var want Decision
+			want.fillProfiles(acc.Summary(), deep.Summary())
+			if got := screening(d); got != screening(want) {
+				t.Fatalf("step %d: %s %q screened %+v, Profiles gives %+v", step, ev.Op, name, got, screening(want))
+			}
 		}
 
 		specs := r.Tasks()
-		names := make([]string, len(specs))
-		ts := make([]task.Task, len(specs))
+		if len(specs) != len(held) {
+			t.Fatalf("step %d: %d tasks admitted, want %d", step, len(specs), len(held))
+		}
 		for i := range specs {
-			names[i], ts[i] = specs[i].Task.Name, specs[i].Task
+			if specs[i].Task.Name != held[i].Name {
+				t.Fatalf("step %d: Tasks() order %v, want insertion order %v", step, specs, held)
+			}
 		}
-		if !slices.Equal(names, held) {
-			t.Fatalf("step %d: Tasks() order %v, want insertion order %v", step, names, held)
-		}
-		if len(ts) == 0 {
+		if len(held) == 0 {
 			if r.Set() != nil {
 				t.Fatalf("step %d: empty runtime holds set %v", step, r.Set())
 			}
 			continue
 		}
-		want, err := task.New(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.Set(); !reflect.DeepEqual(got, want) {
+		if got, want := r.Set(), task.MustNew(held); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: set differs from task.New(Tasks()):\n%v\nvs\n%v", step, got, want)
 		}
 	}
 	if rejects == 0 || removes == 0 || stale == 0 {
 		t.Fatalf("churn too tame: %d rejects, %d removes, %d stale", rejects, removes, stale)
+	}
+}
+
+// screening is a decision's six Theorem-1 scalars, floats as bits.
+func screening(d Decision) [6]uint64 {
+	b := func(ok bool) uint64 {
+		if ok {
+			return 1
+		}
+		return 0
+	}
+	return [6]uint64{b(d.AccurateOK), math.Float64bits(d.AccurateUtil), math.Float64bits(d.AccurateGammaMin),
+		b(d.DeepestOK), math.Float64bits(d.DeepestUtil), math.Float64bits(d.DeepestGammaMin)}
+}
+
+// TestAddHyperperiodOverflowRejected: a candidate whose period takes the
+// hyper-period past int64 is rejected with task.New's reason, which names
+// the task at which the running lcm overflows (here the resident, since the
+// candidate sorts first), and leaves the runtime unchanged.
+func TestAddHyperperiodOverflowRejected(t *testing.T) {
+	// Two huge coprime periods: their lcm overflows int64.
+	const hugeA, hugeB task.Time = 4611686018427387903, 4611686018427387902
+	r := mkRuntime(t, Options{})
+	big := mkTask("big", hugeA, 4, 2)
+	mustAdd(t, r, TaskSpec{Task: big})
+	c := mkTask("c", hugeB, 4, 2)
+	_, werr := task.New([]task.Task{big, c})
+	if werr == nil {
+		t.Fatal("task.New accepted an overflowing hyper-period")
+	}
+	d := mustAdd(t, r, TaskSpec{Task: c})
+	if d.Verdict != Rejected || d.Reason != werr.Error() {
+		t.Fatalf("decision %+v, want rejected with reason %q", d, werr)
+	}
+	if screening(d) != screening(Decision{}) {
+		t.Errorf("overflow reject carries screening scalars %+v", d)
+	}
+	if got := r.Set(); got.Len() != 1 || got.Task(0).Name != "big" {
+		t.Fatalf("set after the reject: %v", got)
+	}
+	// The screen still holds only big: a task fitting beside it admits.
+	if d := mustAdd(t, r, TaskSpec{Task: mkTask("ok", hugeA, 4, 2)}); d.Verdict != Admitted {
+		t.Fatalf("follow-up add: %+v", d)
 	}
 }

@@ -16,12 +16,15 @@ const (
 	latencyBuckets = (64 - latencySubBits) * latencySub
 )
 
-// LatencyHistogram is a log-bucketed histogram of durations. Record and
-// Merge are O(1) and O(buckets) and never allocate; the zero value is
-// ready to use. Two histograms that saw the same samples are equal (==)
-// whatever order the samples came in and however they were merged.
+// LatencyHistogram is a log-bucketed histogram of durations. Record is
+// O(1); Merge, Quantile and Reset touch only the used range of buckets,
+// from the lowest (lo) to the one holding the max, and none allocates. The
+// zero value is ready to use. Two histograms that saw the same samples are
+// equal (==) whatever order the samples came in and however they were
+// merged.
 type LatencyHistogram struct {
 	counts [latencyBuckets]uint64
+	lo     int // lowest used bucket; 0 while empty
 	total  uint64
 	sum    uint64
 	max    uint64
@@ -46,10 +49,22 @@ func latencyMid(i int) uint64 {
 	return sub<<exp + 1<<exp/2
 }
 
+// used returns the used range of buckets, [lo, hi); empty while empty.
+func (h *LatencyHistogram) used() (lo, hi int) {
+	if h.total == 0 {
+		return 0, 0
+	}
+	return h.lo, latencyIdx(h.max) + 1
+}
+
 // Record adds one sample. Negative durations count as zero.
 func (h *LatencyHistogram) Record(d time.Duration) {
 	v := uint64(max(d, 0))
-	h.counts[latencyIdx(v)]++
+	i := latencyIdx(v)
+	if h.total == 0 || i < h.lo {
+		h.lo = i
+	}
+	h.counts[i]++
 	h.total++
 	h.sum += v
 	h.max = max(h.max, v)
@@ -60,12 +75,23 @@ func (h *LatencyHistogram) Merge(o *LatencyHistogram) {
 	if o.total == 0 {
 		return
 	}
-	for i, c := range o.counts {
-		h.counts[i] += c
+	if h.total == 0 || o.lo < h.lo {
+		h.lo = o.lo
+	}
+	lo, hi := o.used()
+	for i := lo; i < hi; i++ {
+		h.counts[i] += o.counts[i]
 	}
 	h.total += o.total
 	h.sum += o.sum
 	h.max = max(h.max, o.max)
+}
+
+// Reset empties the histogram, clearing only the used buckets.
+func (h *LatencyHistogram) Reset() {
+	lo, hi := h.used()
+	clear(h.counts[lo:hi])
+	h.lo, h.total, h.sum, h.max = 0, 0, 0, 0
 }
 
 // Count returns the number of samples.
@@ -91,8 +117,9 @@ func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 	}
 	rank := min(uint64(q*float64(h.total)), h.total-1)
 	var seen uint64
-	for i, c := range h.counts {
-		seen += c
+	lo, hi := h.used()
+	for i := lo; i < hi; i++ {
+		seen += h.counts[i]
 		if seen > rank {
 			return time.Duration(min(latencyMid(i), h.max))
 		}

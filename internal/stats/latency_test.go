@@ -108,6 +108,35 @@ func TestMergeEqualsWholeProperty(t *testing.T) {
 
 // TestLatencyHistogramOracle is the seeded twin of FuzzLatencyHistogram:
 // log-uniform samples from 0 to 2^62 ns, with ties, held to a sorted copy.
+// Reset clears only the used range of buckets, so a histogram reset and
+// reused must equal a fresh one that saw only the later samples, whichever
+// end of the old range the new samples fall on.
+func TestLatencyHistogramReset(t *testing.T) {
+	sets := [][]time.Duration{
+		{3, 90, 4000, time.Second},
+		{time.Millisecond},
+		{0, 70, 70, 1 << 40},
+		{},
+		{5 * time.Microsecond, 2},
+	}
+	var h LatencyHistogram
+	for i, set := range sets {
+		h.Reset()
+		var fresh LatencyHistogram
+		for _, d := range set {
+			h.Record(d)
+			fresh.Record(d)
+		}
+		if h != fresh {
+			t.Fatalf("set %d: reused histogram differs from a fresh one", i)
+		}
+	}
+	h.Reset()
+	if h != (LatencyHistogram{}) {
+		t.Fatal("Reset left samples behind")
+	}
+}
+
 func TestLatencyHistogramOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {

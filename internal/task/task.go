@@ -324,52 +324,6 @@ func New(tasks []Task) (*Set, error) {
 	return &Set{tasks: ts, hyper: hyper}, nil
 }
 
-// With returns a new set holding s's tasks followed by t, exactly as New
-// would build it from that list: t goes after every task of period at most
-// t.Period (where New's stable sort puts an appended task), the tasks after
-// it are renumbered, and the hyper-period becomes lcm(P, t.Period). Only t
-// is validated, since s already is; s itself is unchanged. An unnamed t is
-// named after its index, as New would name it.
-func (s *Set) With(t Task) (*Set, error) {
-	pos := sort.Search(len(s.tasks), func(i int) bool { return s.tasks[i].Period > t.Period })
-	if t.Name == "" {
-		t.Name = fmt.Sprintf("task%d", pos)
-	}
-	t.ID = pos
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	hyper := LCM(s.hyper, t.Period)
-	if hyper <= 0 {
-		// New names the task at which the running LCM first overflows,
-		// which need not be t.
-		return New(append(slices.Clip(s.tasks), t))
-	}
-	ts := make([]Task, 0, len(s.tasks)+1)
-	ts = append(append(append(ts, s.tasks[:pos]...), t), s.tasks[pos:]...)
-	for i := pos + 1; i < len(ts); i++ {
-		ts[i].ID = i
-	}
-	return &Set{tasks: ts, hyper: hyper}, nil
-}
-
-// Without returns a new set holding s's tasks but the i-th, exactly as New
-// would build it from them: the order is kept, the tasks after i are
-// renumbered and the hyper-period is recomputed. It returns nil when no
-// task remains. s itself is unchanged.
-func (s *Set) Without(i int) *Set {
-	ts := slices.Delete(slices.Clone(s.tasks), i, i+1)
-	if len(ts) == 0 {
-		return nil
-	}
-	hyper := Time(1)
-	for j := range ts {
-		ts[j].ID = j
-		hyper = LCM(hyper, ts[j].Period)
-	}
-	return &Set{tasks: ts, hyper: hyper}
-}
-
 // MustNew is New but panics on error. It exists for tests and for
 // package-internal tables whose contents are compile-time constants, where a
 // validation failure is a bug in this repository rather than a runtime
