@@ -33,10 +33,8 @@ func openCluster(fs flags, fsyncs *int, relaxedMeta bool) (*cluster.Cluster, err
 		Replicas:  *fs.replicas,
 		Placement: *fs.placement,
 		Store: schedrt.StoreOptions{
-			Runtime:     runtimeOptions(fs),
-			AfterSync:   crashHook(fs, fsyncs),
-			CommitBatch: *fs.commitBatch,
-			CommitDelay: *fs.commitDelay,
+			Runtime:   runtimeOptions(fs),
+			AfterSync: crashHook(fs, fsyncs),
 		},
 		RelaxedMeta:   relaxedMeta,
 		LatencySLO:    *fs.latencySLO,

@@ -354,8 +354,6 @@ type flags struct {
 	queue       *int
 	epochEvery  *time.Duration
 	maxRestarts *int
-	commitBatch *int
-	commitDelay *time.Duration
 	crashAfter  *int
 	sweep       *bool
 	sweepOut    *string
@@ -395,8 +393,6 @@ func newFlagSet() flags {
 		queue:       fs.Int("queue", 64, "serve mode: admission queue depth per shard, in events (load-shed beyond it)"),
 		epochEvery:  fs.Duration("epoch-interval", 50*time.Millisecond, "serve mode: run an epoch this often (0 disables)"),
 		maxRestarts: fs.Int("max-restarts", 5, "serve mode: supervisor restart budget"),
-		commitBatch: fs.Int("commit-batch", 0, "durable modes: max records per group commit (0: default 64)"),
-		commitDelay: fs.Duration("commit-delay", 0, "durable modes: group-commit stall window (0: default 500µs, negative disables)"),
 		crashAfter:  fs.Int("crash-after-fsync", 0, "testing: exit 7 at the Nth fsync boundary"),
 		sweep:       fs.Bool("sweep", false, "run the crash-point sweep (kill at every fsync, verify recovery digests) and exit"),
 		sweepOut:    fs.String("sweep-out", "", "sweep mode: write the JSON artifact here"),

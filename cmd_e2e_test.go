@@ -353,6 +353,14 @@ func TestE2EImpserve(t *testing.T) {
 		!strings.Contains(out, "flag provided but not defined: -engine") {
 		t.Errorf("-engine linear exit %d, want 2 (unknown flag)\n%s", code, out)
 	}
+	// The group-commit tuning flags are retired: the shard engine's gather
+	// is the only batching point, so both are unknown flags now.
+	for _, args := range [][]string{{"-commit-batch", "8"}, {"-commit-delay", "1ms"}} {
+		code, out := exitCode(t, "impserve", append([]string{"-tape", tape, "-quiet"}, args...)...)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s %s exit %d, want 2 (unknown flag)\n%s", args[0], args[1], code, out)
+		}
+	}
 }
 
 // digestLine extracts the "digest: <hex>" summary line.
@@ -733,7 +741,7 @@ func TestE2EImpserveBatchIngest(t *testing.T) {
 	start := func() (*exec.Cmd, string) {
 		cmd := exec.Command(filepath.Join(binDir, "impserve"),
 			"-dir", stateDir, "-listen", "127.0.0.1:0",
-			"-epoch-interval", "10ms", "-queue", "64", "-commit-delay", "200us")
+			"-epoch-interval", "10ms", "-queue", "64")
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)

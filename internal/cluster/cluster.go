@@ -1015,7 +1015,8 @@ func (c *Cluster) Apply(ev runtime.Event) (Result, error) {
 	if tk.shard < 0 {
 		return synthResult(&ev, tk), tk.err
 	}
-	dec, evErr, _, err := c.shardApply(tk.shard, true, ev)
+	decs, evErrs, _, err := c.shardApplyBatch(tk.shard, true, []runtime.Event{ev})
+	dec, evErr := decs[0], evErrs[0]
 	if err != nil {
 		// The shard exhausted its retry budget mid-event. complete with a
 		// failed outcome rolls back the optimistic router state (pending
@@ -1047,9 +1048,10 @@ func (c *Cluster) broadcastLocked(ev *runtime.Event) (Result, error) {
 		if sh.Store.MaxSeq() >= ev.Seq {
 			continue
 		}
-		dec, evErr, _, err := c.shardApply(sh.ID, true, *ev)
+		decs, evErrs, _, err := c.shardApplyBatch(sh.ID, true, []runtime.Event{*ev})
+		dec := decs[0]
 		if err == nil {
-			err = evErr
+			err = evErrs[0]
 		}
 		if err != nil {
 			return Result{Shard: sh.ID, Decision: dec}, err
@@ -1132,7 +1134,7 @@ func (c *Cluster) ApplyBatch(evs []runtime.Event) ([]Result, []error, error) {
 			for j := range bucket {
 				sevs[j] = bucket[j].ev
 			}
-			shardDecs[si], shardEvErrs[si], _, shardErrs[si] = c.shardApplyBatch(si, sevs)
+			shardDecs[si], shardEvErrs[si], _, shardErrs[si] = c.shardApplyBatch(si, false, sevs)
 		}(si)
 	}
 	wg.Wait()

@@ -412,54 +412,31 @@ func synthRecovered(st *runtime.Store, ev *runtime.Event) runtime.Decision {
 	}
 }
 
-// shardApply is Store.Apply under the containment loop, with the
-// already-durable dedup guard. Returns the decision, the per-event
-// (stale-request) error, whether a reopen happened, and the fatal error.
+// shardApplyBatch is Store.ApplyBatch under the containment loop, with the
+// already-durable dedup guard: on a retry after reopen, events the
+// recovered store already holds (their batch's sync "failed" after the
+// bytes landed, or a torn write kept a prefix) are answered from recovered
+// state; only the genuinely missing suffix is re-applied. Returns the
+// per-event decisions and (validation or stale-request) errors, whether a
+// reopen happened, and the fatal error. locked is runShardOp's: the caller
+// already holds c.mu.
 //
-// The guard is consulted only on RETRY attempts. On the first attempt the
-// event is by construction new to the shard, and the Seq-vs-MaxSeq test is
-// not a membership test: a migration handoff stamps the moved add with a
-// fresh router sequence, which can push the target's MaxSeq far past
-// events still in flight from older stamps — deduping those on arrival
-// would swallow them whole. After a reopen the test is sound, because the
-// only record in question is the one this very op just tried to append.
-func (c *Cluster) shardApply(si int, locked bool, ev runtime.Event) (runtime.Decision, error, bool, error) {
-	var dec runtime.Decision
-	var evErr error
-	tried := false
-	rebuilt, err := c.runShardOp(si, locked, func(st *runtime.Store) error {
-		if tried && ev.Seq != 0 && ev.Seq <= st.MaxSeq() {
-			dec, evErr = synthRecovered(st, &ev), nil
-			return nil
-		}
-		tried = true
-		d, aerr := st.Apply(ev)
-		if aerr != nil && !runtime.IsStaleRequest(aerr) {
-			return aerr
-		}
-		dec, evErr = d, aerr
-		return nil
-	})
-	return dec, evErr, rebuilt, err
-}
-
-// shardApplyBatch is Store.ApplyBatch under the containment loop. On a
-// retry after reopen, events the recovered store already holds (their
-// batch's sync "failed" after the bytes landed, or a torn write kept a
-// prefix) are answered from recovered state; only the genuinely missing
-// suffix is re-applied.
-func (c *Cluster) shardApplyBatch(si int, evs []runtime.Event) ([]runtime.Decision, []error, bool, error) {
+// The guard is consulted only on RETRY attempts. On the first attempt no
+// event of the batch can be durable yet, and the Seq-vs-MaxSeq test is not
+// a membership test: a migration handoff stamps the moved add with a fresh
+// router sequence, which can push the target's MaxSeq far past events
+// still in flight from older stamps — deduping those on arrival would
+// swallow them whole. After a reopen the test is sound, because the only
+// records in question are the ones this very op just tried to append.
+func (c *Cluster) shardApplyBatch(si int, locked bool, evs []runtime.Event) ([]runtime.Decision, []error, bool, error) {
 	decs := make([]runtime.Decision, len(evs))
 	errs := make([]error, len(evs))
 	tried := false
-	rebuilt, err := c.runShardOp(si, false, func(st *runtime.Store) error {
+	rebuilt, err := c.runShardOp(si, locked, func(st *runtime.Store) error {
 		pend := make([]runtime.Event, 0, len(evs))
 		pendIdx := make([]int, 0, len(evs))
 		max := st.MaxSeq()
 		for i := range evs {
-			// Retry-only, like shardApply: on the first attempt nothing in
-			// this batch can be durable yet, and migration-inflated MaxSeq
-			// must not swallow fresh events.
 			if tried && evs[i].Seq != 0 && evs[i].Seq <= max {
 				decs[i], errs[i] = synthRecovered(st, &evs[i]), nil
 				continue

@@ -155,7 +155,8 @@ func (c *Cluster) handoffLocked(spec runtime.TaskSpec, from, to int, srcLive boo
 		Task:  &spec,
 		Seq:   addSeq,
 	}
-	dec, evErr, _, err := c.shardApply(to, true, ev)
+	decs, evErrs, _, err := c.shardApplyBatch(to, true, []runtime.Event{ev})
+	dec, evErr := decs[0], evErrs[0]
 	if err != nil {
 		// Target shard failed mid-handoff: roll back so the source copy (or
 		// the evacuation's eviction accounting) stays the single truth.
@@ -209,7 +210,9 @@ func (c *Cluster) handoffLocked(spec runtime.TaskSpec, from, to int, srcLive boo
 			Name:  mv.Name,
 			Seq:   rmSeq,
 		}
-		_, rmEvErr, _, rmErr := c.shardApply(from, true, rmEv)
+		// A stale remove (the copy was already gone) is fine; only a shard
+		// failure matters.
+		_, _, _, rmErr := c.shardApplyBatch(from, true, []runtime.Event{rmEv})
 		c.shards[from].inc.Remove(mv.Name)
 		if rmErr != nil {
 			// The move is committed — the target owns the task — but the
@@ -218,7 +221,6 @@ func (c *Cluster) handoffLocked(spec runtime.TaskSpec, from, to int, srcLive boo
 			// shard failure without undoing the move.
 			return mv, rmErr
 		}
-		_ = rmEvErr // stale remove: the copy was already gone — fine
 	}
 	return mv, nil
 }
@@ -498,7 +500,7 @@ func (c *Cluster) completeMigrationsLocked(migNames []string, migs map[string]me
 			Name:  name,
 			Seq:   c.stampSeqLocked(),
 		}
-		_, _, _, err := c.shardApply(si, true, ev)
+		_, _, _, err := c.shardApplyBatch(si, true, []runtime.Event{ev})
 		if err != nil {
 			return err
 		}

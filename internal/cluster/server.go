@@ -437,7 +437,7 @@ func (s *Server) serveBatch(si int, batch []sticket) bool {
 		evs[i].Epoch = epoch // journaled events replay at the live position
 	}
 	s.enterOp(si)
-	decs, errs, _, err := s.c.shardApplyBatch(si, evs)
+	decs, errs, _, err := s.c.shardApplyBatch(si, false, evs)
 	s.leaveOp(si)
 	now := time.Now()
 	s.ctls[si].Observe(len(batch), now.Sub(start), start.Sub(batch[0].enq), now)

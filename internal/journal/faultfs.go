@@ -87,8 +87,7 @@ type FaultStats struct {
 // FaultFS is a seeded, deterministic Injector. The op counter is owned by
 // the FaultFS, not the Writer, so it survives writer reopens: the fault
 // schedule is a property of the (virtual) disk, and recovery reopening the
-// journal does not reroll history. Safe for concurrent use (the cluster's
-// group-commit leader and checkpoint path may race on one shard's WAL).
+// journal does not reroll history. Safe for concurrent use.
 type FaultFS struct {
 	mu        sync.Mutex
 	seed      uint64

@@ -102,31 +102,32 @@ func TestStickyPoisonSerial(t *testing.T) {
 }
 
 // TestStickyPoisonGroupCommit pins the same semantics through the
-// group-commit path: the group whose covering sync fails sees the error
-// fan out to every member, and later commits see ErrJournalPoisoned.
+// committer: the batch whose covering sync fails returns the error, and
+// later batches see ErrJournalPoisoned.
 func TestStickyPoisonGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	inj := &scriptInjector{syncFails: map[uint64]error{}}
 	w := openWithInjector(t, dir, inj)
 	defer w.Close()
 	gc := NewGroupCommitter(w, GroupOptions{})
+	commit := func(p string) error {
+		_, err := gc.CommitAll([]Pending{{Type: TypeEvent, Payload: []byte(p)}})
+		return err
+	}
 
-	if _, err := gc.Commit(TypeEvent, []byte("a")); err != nil {
+	if err := commit("a"); err != nil {
 		t.Fatalf("commit a: %v", err)
 	}
 	// The commit consumes one write op then one sync op; fail the sync.
 	inj.syncFails[inj.op+1] = ErrInjectedSync
-	if _, err := gc.Commit(TypeEvent, []byte("b")); !errors.Is(err, ErrInjectedSync) {
+	if err := commit("b"); !errors.Is(err, ErrInjectedSync) {
 		t.Fatalf("commit b: got %v, want injected sync failure", err)
 	}
-	if _, err := gc.Commit(TypeEvent, []byte("c")); !errors.Is(err, ErrJournalPoisoned) {
+	if err := commit("c"); !errors.Is(err, ErrJournalPoisoned) {
 		t.Fatalf("commit after poison: got %v, want ErrJournalPoisoned", err)
 	}
-	if _, err := gc.CommitAll([]Pending{{Type: TypeEvent, Payload: []byte("d")}}); !errors.Is(err, ErrJournalPoisoned) {
-		t.Fatalf("batch commit after poison: got %v, want ErrJournalPoisoned", err)
-	}
 	if s := gc.Stats(); s.Errors < 1 {
-		t.Fatalf("group stats should count the failed group: %+v", s)
+		t.Fatalf("group stats should count the failed batch: %+v", s)
 	}
 }
 

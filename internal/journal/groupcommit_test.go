@@ -5,30 +5,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 )
 
-// fakeSink mimics a Writer's index assignment while letting tests gate and
-// fail syncs deterministically.
+// fakeSink mimics a Writer's index assignment while letting tests fail
+// syncs deterministically.
 type fakeSink struct {
-	mu       sync.Mutex
 	next     uint64 // index the next record gets (Writer starts at 1)
 	payloads [][]byte
-	appends  int
 	syncs    int
-	gate     chan struct{}        // when non-nil, every Sync blocks on a receive
 	syncErr  func(call int) error // per-sync error injection (1-based call number)
 }
 
 func newFakeSink() *fakeSink { return &fakeSink{next: 1} }
 
 func (s *fakeSink) AppendBatch(recs []Pending) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appends++
 	first := s.next
 	for _, r := range recs {
 		s.payloads = append(s.payloads, r.Payload)
@@ -38,46 +29,16 @@ func (s *fakeSink) AppendBatch(recs []Pending) (uint64, error) {
 }
 
 func (s *fakeSink) Sync() error {
-	s.mu.Lock()
 	s.syncs++
-	call := s.syncs
-	gate := s.gate
-	fail := s.syncErr
-	s.mu.Unlock()
-	if gate != nil {
-		<-gate
-	}
-	if fail != nil {
-		return fail(call)
+	if s.syncErr != nil {
+		return s.syncErr(s.syncs)
 	}
 	return nil
 }
 
-// waitOpenLen polls until the committer's open group holds at least n
-// records (the deterministic way to know followers have parked).
-func waitOpenLen(t *testing.T, g *GroupCommitter, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		g.mu.Lock()
-		l := 0
-		if g.open != nil {
-			l = len(g.open.recs)
-		}
-		g.mu.Unlock()
-		if l >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("open group never reached %d members (at %d)", n, l)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// TestGroupCommitSingleCaller is the no-batching-overhead contract: a lone
-// Commit behaves exactly like Append+Sync — one record, one sync, no
-// stall — and the record is durable and replayable.
+// TestGroupCommitSingleCaller: a one-record CommitAll is exactly
+// Append+Sync — one record, one sync, no stall — and the record is durable
+// and replayable.
 func TestGroupCommitSingleCaller(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{NoSync: true})
@@ -85,7 +46,7 @@ func TestGroupCommitSingleCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGroupCommitter(w, GroupOptions{})
-	idx, err := g.Commit(TypeEvent, []byte("solo"))
+	idx, err := g.CommitAll([]Pending{{Type: TypeEvent, Payload: []byte("solo")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +55,10 @@ func TestGroupCommitSingleCaller(t *testing.T) {
 	}
 	st := g.Stats()
 	if st.Records != 1 || st.Syncs != 1 || st.Groups != 1 || st.MaxGroup != 1 {
-		t.Fatalf("single-caller stats %+v, want 1/1/1/1", st)
+		t.Fatalf("single-record stats %+v, want 1/1/1/1", st)
 	}
 	if st.Stalls != 0 {
-		t.Fatalf("lone caller stalled %d times — the serial path must pay nothing", st.Stalls)
+		t.Fatalf("committer stalled %d times — it never delays a sync", st.Stalls)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
@@ -117,218 +78,39 @@ func TestGroupCommitSingleCaller(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces parks one leader inside a gated fsync and
-// shows that every caller arriving meanwhile shares ONE follow-up group:
-// 8 commits, 2 syncs.
-func TestGroupCommitCoalesces(t *testing.T) {
-	sink := newFakeSink()
-	sink.gate = make(chan struct{})
-	g := NewGroupCommitter(sink, GroupOptions{MaxBatch: 64, MaxDelay: -1})
-
-	var wg sync.WaitGroup
-	idxs := make(chan uint64, 8)
-	commit := func(i int) {
-		defer wg.Done()
-		idx, err := g.Commit(TypeEvent, []byte(fmt.Sprintf("p%d", i)))
-		if err != nil {
-			t.Errorf("commit %d: %v", i, err)
-			return
-		}
-		idxs <- idx
-	}
-	wg.Add(1)
-	go commit(0) // leader of group 1, blocks inside Sync
-	// Wait until it is actually inside the gated sync.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sink.mu.Lock()
-		entered := sink.syncs
-		sink.mu.Unlock()
-		if entered == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never reached Sync")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	for i := 1; i < 8; i++ {
-		wg.Add(1)
-		go commit(i)
-	}
-	waitOpenLen(t, g, 7) // all 7 latecomers share the next group
-	close(sink.gate)
-	wg.Wait()
-	close(idxs)
-
-	st := g.Stats()
-	if st.Syncs != 2 || st.Groups != 2 {
-		t.Fatalf("8 concurrent commits took %d syncs / %d groups, want 2/2 (%+v)", st.Syncs, st.Groups, st)
-	}
-	if st.Records != 8 || st.MaxGroup != 7 {
-		t.Fatalf("stats %+v, want 8 records, max group 7", st)
-	}
-	// Every caller got a unique contiguous index.
-	var all []int
-	for idx := range idxs {
-		all = append(all, int(idx))
-	}
-	sort.Ints(all)
-	for i, idx := range all {
-		if idx != i+1 {
-			t.Fatalf("indices %v, want 1..8", all)
-		}
-	}
-}
-
-// TestGroupCommitMaxBatchSeals bounds group size: with MaxBatch 4 and 10
-// commits racing, no group may exceed 4 records and at least one group is
-// sealed early, yet every commit lands with a unique contiguous index.
-func TestGroupCommitMaxBatchSeals(t *testing.T) {
-	sink := newFakeSink()
-	sink.gate = make(chan struct{})
-	g := NewGroupCommitter(sink, GroupOptions{MaxBatch: 4, MaxDelay: -1})
-
-	var wg sync.WaitGroup
-	idxs := make(chan uint64, 10)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		idx, err := g.Commit(TypeEvent, []byte("leader"))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		idxs <- idx
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sink.mu.Lock()
-		entered := sink.syncs
-		sink.mu.Unlock()
-		if entered == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never reached Sync")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	for i := 0; i < 9; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			idx, err := g.Commit(TypeEvent, []byte(fmt.Sprintf("f%d", i)))
-			if err != nil {
-				t.Errorf("follower %d: %v", i, err)
-				return
-			}
-			idxs <- idx
-		}(i)
-	}
-	// A group seals itself the instant its 4th member joins.
-	for {
-		if g.Stats().Sealed >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no group ever filled to MaxBatch (stats %+v)", g.Stats())
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	close(sink.gate)
-	wg.Wait()
-	close(idxs)
-
-	st := g.Stats()
-	if st.MaxGroup > 4 {
-		t.Fatalf("group of %d exceeded MaxBatch 4 (%+v)", st.MaxGroup, st)
-	}
-	if st.Records != 10 || st.Sealed < 1 {
-		t.Fatalf("stats %+v, want 10 records with ≥1 sealed group", st)
-	}
-	var all []int
-	for idx := range idxs {
-		all = append(all, int(idx))
-	}
-	sort.Ints(all)
-	for i, idx := range all {
-		if idx != i+1 {
-			t.Fatalf("indices %v, want 1..10", all)
-		}
-	}
-}
-
-// TestGroupCommitSyncErrorFanOut fails the sync covering a 4-member group
-// and requires every member — leader and followers alike — to see the
-// error, while the group before and after are unaffected.
-func TestGroupCommitSyncErrorFanOut(t *testing.T) {
+// TestGroupCommitSyncError fails the sync covering one batch: the caller
+// sees the error, the batch counts as one error and no records, and the
+// committer is not poisoned — the next batch commits.
+func TestGroupCommitSyncError(t *testing.T) {
 	wantErr := errors.New("disk on fire")
 	sink := newFakeSink()
-	sink.gate = make(chan struct{})
 	sink.syncErr = func(call int) error {
-		if call == 2 {
+		if call == 1 {
 			return wantErr
 		}
 		return nil
 	}
-	g := NewGroupCommitter(sink, GroupOptions{MaxBatch: 64, MaxDelay: -1})
+	g := NewGroupCommitter(sink, GroupOptions{})
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // healthy group 1
-		defer wg.Done()
-		if _, err := g.Commit(TypeEvent, []byte("ok")); err != nil {
-			t.Errorf("group 1: %v", err)
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sink.mu.Lock()
-		entered := sink.syncs
-		sink.mu.Unlock()
-		if entered == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never reached Sync")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	errs := make(chan error, 4)
+	var doomed []Pending
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := g.Commit(TypeEvent, []byte(fmt.Sprintf("doomed%d", i)))
-			errs <- err
-		}(i)
+		doomed = append(doomed, Pending{Type: TypeEvent, Payload: []byte(fmt.Sprintf("doomed%d", i))})
 	}
-	waitOpenLen(t, g, 4)
-	close(sink.gate)
-	wg.Wait()
-	close(errs)
-
-	n := 0
-	for err := range errs {
-		n++
-		if !errors.Is(err, wantErr) {
-			t.Errorf("group member got %v, want the shared sync error", err)
-		}
-	}
-	if n != 4 {
-		t.Fatalf("%d members reported, want 4", n)
+	if _, err := g.CommitAll(doomed); !errors.Is(err, wantErr) {
+		t.Fatalf("CommitAll got %v, want the sync error", err)
 	}
 	st := g.Stats()
 	if st.Errors != 1 {
 		t.Errorf("stats.Errors %d, want 1 (%+v)", st.Errors, st)
 	}
-	if st.Records != 1 { // only the healthy group's record counts as committed
-		t.Errorf("stats.Records %d, want 1 (%+v)", st.Records, st)
+	if st.Records != 0 || st.Syncs != 0 {
+		t.Errorf("failed batch counted as committed: %+v", st)
 	}
-	// The committer is not poisoned: a later commit succeeds.
-	if _, err := g.Commit(TypeEvent, []byte("after")); err != nil {
-		t.Fatalf("commit after failed group: %v", err)
+	if _, err := g.CommitAll([]Pending{{Type: TypeEvent, Payload: []byte("after")}}); err != nil {
+		t.Fatalf("commit after failed batch: %v", err)
+	}
+	if st := g.Stats(); st.Records != 1 || st.Syncs != 1 {
+		t.Fatalf("stats after recovery %+v, want 1 record / 1 sync", st)
 	}
 }
 
@@ -337,9 +119,6 @@ func TestGroupCommitClosed(t *testing.T) {
 	g := NewGroupCommitter(newFakeSink(), GroupOptions{})
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := g.Commit(TypeEvent, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Commit after Close: %v, want ErrClosed", err)
 	}
 	if _, err := g.CommitAll([]Pending{{Type: TypeEvent}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("CommitAll after Close: %v, want ErrClosed", err)
@@ -509,52 +288,5 @@ func TestAppendBatchInterleavesWithAppend(t *testing.T) {
 	}
 	if i != n {
 		t.Fatalf("replayed %d records, want %d", i, n)
-	}
-}
-
-// BenchmarkGroupCommit measures real-fsync amortization at the journal
-// layer: c goroutines committing concurrently share syncs. fsyncs/commit
-// is the figure the acceptance criterion bounds (< 0.25 at c ≥ 8).
-func BenchmarkGroupCommit(b *testing.B) {
-	for _, c := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("conc=%d", c), func(b *testing.B) {
-			w, err := Open(b.TempDir(), Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			g := NewGroupCommitter(w, GroupOptions{})
-			payload := []byte(`{"op":"add","task":"bench"}`)
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			per := b.N / c
-			extra := b.N % c
-			for i := 0; i < c; i++ {
-				n := per
-				if i < extra {
-					n++
-				}
-				wg.Add(1)
-				go func(n int) {
-					defer wg.Done()
-					for j := 0; j < n; j++ {
-						if _, err := g.Commit(TypeEvent, payload); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(n)
-			}
-			wg.Wait()
-			b.StopTimer()
-			st := g.Stats()
-			if st.Records > 0 {
-				b.ReportMetric(float64(st.Syncs)/float64(st.Records), "fsyncs/commit")
-				b.ReportMetric(st.RecordsPerSync(), "records/sync")
-			}
-			if err := g.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }

@@ -76,13 +76,6 @@ type StoreOptions struct {
 	// files are not injected: the WAL is the durability-critical path, and
 	// a lost checkpoint only costs replay distance, never state.
 	Inject journal.Injector
-	// CommitBatch caps the records per commit group
-	// (journal.GroupOptions.MaxBatch; default 64).
-	CommitBatch int
-	// CommitDelay is the group-commit stall window
-	// (journal.GroupOptions.MaxDelay; 0 defaults to 500µs, negative
-	// disables the stall).
-	CommitDelay time.Duration
 	// Clock supplies time for the journal's per-op latency capture
 	// (journal.Options.Clock). Defaults to the wall clock.
 	Clock journal.Clock
@@ -230,13 +223,9 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 			return nil, err
 		}
 	}
-	// All request/epoch journaling goes through the group committer: a lone
-	// caller degenerates to Append+Sync, concurrent admissions (ApplyBatch,
-	// or Commit callers racing) share multi-record writes and fsyncs.
-	s.gc = journal.NewGroupCommitter(wal, journal.GroupOptions{
-		MaxBatch: opt.CommitBatch,
-		MaxDelay: opt.CommitDelay,
-	})
+	// All request/epoch/mark journaling goes through the committer: every
+	// write is one AppendBatch plus one covering Sync.
+	s.gc = journal.NewGroupCommitter(wal, journal.GroupOptions{})
 
 	// 3. Replay the suffix, write-ahead semantics in reverse: requests are
 	// re-applied, epochs are re-run and must reproduce their recorded
@@ -387,26 +376,17 @@ func (s *Store) SequenceRequests() error {
 func (s *Store) Epoch() int64   { return s.rt.Epoch() }
 func (s *Store) Digest() uint64 { return s.rt.Digest() }
 
-// Apply journals the request, makes it durable, then applies it. A request
-// that fails structural validation is rejected before it touches the
-// journal (it would poison every future replay); stale-request errors
-// happen after journaling, exactly as they would on replay.
+// Apply journals the request, makes it durable, then applies it: ApplyBatch
+// of one event. A request that fails structural validation is rejected
+// before it touches the journal (it would poison every future replay);
+// stale-request errors happen after journaling, exactly as they would on
+// replay.
 func (s *Store) Apply(ev Event) (Decision, error) {
-	if err := ev.Validate(); err != nil {
-		return Decision{Op: ev.Op}, err
+	decs, errs, err := s.ApplyBatch([]Event{ev})
+	if err == nil {
+		err = errs[0]
 	}
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return Decision{Op: ev.Op}, err
-	}
-	if _, err := s.gc.Commit(journal.TypeEvent, payload); err != nil {
-		return Decision{Op: ev.Op}, err
-	}
-	s.eventsApplied++
-	if ev.Seq > s.maxSeq {
-		s.maxSeq = ev.Seq
-	}
-	return s.rt.Apply(ev)
+	return decs[0], err
 }
 
 // ApplyBatch journals every structurally valid event of the batch under ONE
@@ -468,8 +448,8 @@ func (s *Store) ApplyBatch(evs []Event) ([]Decision, []error, error) {
 	return decs, errs, nil
 }
 
-// CommitStats reports the group committer's amortization counters
-// (records per sync, stalls, sealed groups) for /state observability.
+// CommitStats reports the committer's amortization counters (records per
+// sync, largest batch) for /state observability.
 func (s *Store) CommitStats() journal.GroupStats { return s.gc.Stats() }
 
 // RunEpoch runs one epoch and journals its result (epoch number, digest,
@@ -492,7 +472,7 @@ func (s *Store) RunEpoch() (EpochReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	_, err = s.gc.Commit(journal.TypeEpoch, payload)
+	_, err = s.gc.CommitAll([]journal.Pending{{Type: journal.TypeEpoch, Payload: payload}})
 	return rep, err
 }
 
@@ -520,7 +500,7 @@ func (s *Store) Checkpoint() (string, error) {
 
 	// Mark the checkpoint in the log (observability; replay ignores it).
 	if payload, err := json.Marshal(markRecord{Epoch: s.rt.Epoch(), WALIndex: idx}); err == nil {
-		if _, err := s.gc.Commit(journal.TypeMark, payload); err != nil {
+		if _, err := s.gc.CommitAll([]journal.Pending{{Type: journal.TypeMark, Payload: payload}}); err != nil {
 			return "", err
 		}
 	}
@@ -602,9 +582,9 @@ func (s *Store) PlayTape(tp *Tape, horizon int64,
 	return nil
 }
 
-// Close flushes any open commit group — no record a caller was promised
-// durable (or is still waiting on) is abandoned — then syncs and releases
-// the journal. The store must not be used after.
+// Close retires the committer and closes the journal. Every write was
+// synced before it was acknowledged, so nothing is pending. The store must
+// not be used after.
 func (s *Store) Close() error {
 	err := s.gc.Close()
 	if cerr := s.wal.Close(); err == nil {

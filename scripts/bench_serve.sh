@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Run the ingest-path benchmarks (group-commit WAL, batched admission
-# engine, zero-alloc event decode) and emit a JSON report via cmd/benchjson.
+# Run the ingest-path benchmarks (batched admission, one journal write and
+# fsync per batch; zero-alloc event decode) and emit a JSON report via
+# cmd/benchjson.
 #
 # usage: scripts/bench_serve.sh [out.json] [benchtime]
 #
@@ -27,9 +28,9 @@ staging="$(mktemp "${TMPDIR:-/tmp}/bench_serve.XXXXXX.json")"
 trap 'rm -f "$staging"' EXIT INT TERM
 
 go test -run xxx \
-  -bench 'BenchmarkAdmitSerial|BenchmarkAdmitGroupCommit|BenchmarkGroupCommit|BenchmarkDecodeEvent' \
+  -bench 'BenchmarkAdmitSerial|BenchmarkAdmitGroupCommit|BenchmarkDecodeEvent' \
   -benchmem -benchtime "$benchtime" \
-  ./internal/runtime/ ./internal/journal/ ./internal/serve/ \
+  ./internal/runtime/ ./internal/serve/ \
   | go run ./cmd/benchjson -out "$staging"
 
 mv "$staging" "$out"
