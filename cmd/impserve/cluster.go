@@ -72,8 +72,6 @@ func printClusterSummary(c *cluster.Cluster, horizon int64) {
 // plays one epoch at a time (the signal boundary) through the serial
 // router: the durable resume contract (skip exactly the journaled sequence
 // prefix) holds only when events become durable in tape order.
-// -shard-parallel opts into the concurrent group-commit drive for
-// throughput runs that accept replay-from-checkpoint on interruption.
 func runDurable(fs flags) int {
 	if *fs.tape == "" {
 		fmt.Fprintln(os.Stderr, "impserve: -dir needs -tape (or -listen for the HTTP service)")
@@ -138,7 +136,7 @@ func runDurable(fs flags) int {
 			continue
 		default:
 		}
-		err := c.PlayTape(tp, c.Epoch()+1, *fs.shardParallel, 0,
+		err := c.PlayTape(tp, c.Epoch()+1, 0,
 			onEpoch, onDecision, staleTolerant(fs, c.Epoch))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "impserve:", err)
@@ -148,18 +146,6 @@ func runDurable(fs flags) int {
 			if err := c.Checkpoint(); err != nil {
 				fmt.Fprintln(os.Stderr, "impserve:", err)
 				return exitInternal
-			}
-		}
-		if rb := *fs.rebalanceEvery; rb > 0 && c.Epoch()%int64(rb) == 0 {
-			moves, err := c.Rebalance(cluster.RebalanceOptions{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "impserve: rebalance:", err)
-				return exitInternal
-			}
-			for _, mv := range moves {
-				if !*fs.quiet {
-					fmt.Printf("epoch %d: rebalance: %s shard %d -> %d\n", c.Epoch(), mv.Name, mv.From, mv.To)
-				}
 			}
 		}
 	}

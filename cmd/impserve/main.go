@@ -358,13 +358,11 @@ type flags struct {
 	sweep       *bool
 	sweepOut    *string
 
-	shards         *int
-	replicas       *int
-	placement      *string
-	shardParallel  *bool
-	rebalanceEvery *int
-	restartReset   *time.Duration
-	fsck           *bool
+	shards       *int
+	replicas     *int
+	placement    *string
+	restartReset *time.Duration
+	fsck         *bool
 
 	latencySLO  *time.Duration
 	deadline    *time.Duration
@@ -397,13 +395,11 @@ func newFlagSet() flags {
 		sweep:       fs.Bool("sweep", false, "run the crash-point sweep (kill at every fsync, verify recovery digests) and exit"),
 		sweepOut:    fs.String("sweep-out", "", "sweep mode: write the JSON artifact here"),
 
-		shards:         fs.Int("shards", 1, "durable modes: partition the state across this many shard stores"),
-		replicas:       fs.Int("replicas", 0, "synchronous followers per shard (0 disables replication)"),
-		placement:      fs.String("placement", "", "placement policy: "+strings.Join(cluster.PolicyNames(), ", ")+" (default first-fit)"),
-		shardParallel:  fs.Bool("shard-parallel", false, "durable tape mode: concurrent group-commit drive (durable resume needs the serial default)"),
-		rebalanceEvery: fs.Int("rebalance-every", 0, "durable tape mode: run the skew-triggered rebalancer every N epochs (0 disables)"),
-		restartReset:   fs.Duration("restart-reset", 0, "serve mode: forgive the restart budget after an incarnation stays up this long (0 disables)"),
-		fsck:           fs.Bool("fsck", false, "scrub every checkpoint and WAL segment under -dir offline and exit (6 on corruption)"),
+		shards:       fs.Int("shards", 1, "durable modes: partition the state across this many shard stores"),
+		replicas:     fs.Int("replicas", 0, "synchronous followers per shard (0 disables replication)"),
+		placement:    fs.String("placement", "", "placement policy: "+strings.Join(cluster.PolicyNames(), ", ")+" (default first-fit)"),
+		restartReset: fs.Duration("restart-reset", 0, "serve mode: forgive the restart budget after an incarnation stays up this long (0 disables)"),
+		fsck:         fs.Bool("fsck", false, "scrub every checkpoint and WAL segment under -dir offline and exit (6 on corruption)"),
 
 		latencySLO:  fs.Duration("latency-slo", 0, "fence a shard from placement when its windowed WAL-sojourn p99 exceeds this; with replicas, proactively promote away from the slow primary (0 disables)"),
 		deadline:    fs.Duration("deadline", 0, "default admission deadline — shed routes to over-SLO shards instead of blowing it (0 disables; per-request X-Deadline-Ms still honored)"),

@@ -353,9 +353,12 @@ func TestE2EImpserve(t *testing.T) {
 		!strings.Contains(out, "flag provided but not defined: -engine") {
 		t.Errorf("-engine linear exit %d, want 2 (unknown flag)\n%s", code, out)
 	}
-	// The group-commit tuning flags are retired: the shard engine's gather
-	// is the only batching point, so both are unknown flags now.
-	for _, args := range [][]string{{"-commit-batch", "8"}, {"-commit-delay", "1ms"}} {
+	// Retired flags are unknown flags now. The group-commit tuning flags:
+	// the shard engine's gather is the only batching point. The tape-mode
+	// drive flags: durable tape mode has one serial drive with nothing
+	// between its ticks.
+	for _, args := range [][]string{{"-commit-batch", "8"}, {"-commit-delay", "1ms"},
+		{"-shard-parallel", "true"}, {"-rebalance-every", "2"}} {
 		code, out := exitCode(t, "impserve", append([]string{"-tape", tape, "-quiet"}, args...)...)
 		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
 			t.Errorf("%s %s exit %d, want 2 (unknown flag)\n%s", args[0], args[1], code, out)

@@ -37,7 +37,7 @@ func TestOneShardMatchesStore(t *testing.T) {
 			if err := st.PlayTape(tp, e, nil, nil, tolerateStale); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.PlayTape(tp, e, false, 0, nil, nil, tolerateStale); err != nil {
+			if err := c.PlayTape(tp, e, 0, nil, nil, tolerateStale); err != nil {
 				t.Fatal(err)
 			}
 			if d := st.Digest(); c.Digests()[0] != d || c.Digest() != d {
@@ -127,7 +127,7 @@ func TestAdoptSingleStore(t *testing.T) {
 	if rec := c.Recovery(); !rec.AdoptedStore || rec.Adopted != len(tasks) || rec.Cursor != events {
 		t.Fatalf("recovery %+v, want the store adopted with %d tasks at cursor %d", rec, len(tasks), events)
 	}
-	if err := playCluster(c, tp, false); err != nil {
+	if err := playCluster(c, tp); err != nil {
 		t.Fatal(err)
 	}
 	if c.Digest() != ref.Digest() {

@@ -1424,7 +1424,14 @@ var ErrWrongTape = errors.New("cluster: store is ahead of the tape — wrong tap
 // RunEpoch's min-epoch rule, so a crash mid-tick converges back to
 // lockstep before new events fire. checkpointEvery > 0 checkpoints the
 // cluster after every that-many ticks.
-func (c *Cluster) PlayTape(tp *runtime.Tape, horizon int64, parallel bool, checkpointEvery int,
+//
+// The drive is serial: each event goes through Apply in tape order, so the
+// shards make events durable in sequence order and the resume rule above
+// holds at every crash point. Between calls no MigrateTask or
+// EvacuateShard may run — a handoff stamps the router's next sequence,
+// which in tape mode is the next tape event's own Seq, and the re-entry
+// would skip that event.
+func (c *Cluster) PlayTape(tp *runtime.Tape, horizon int64, checkpointEvery int,
 	onEpoch func(ShardEpoch), onDecision func(runtime.Event, Result),
 	onDecisionErr func(runtime.Event, error) error) error {
 	if c.cursor > uint64(len(tp.Events)) {
@@ -1452,52 +1459,24 @@ func (c *Cluster) PlayTape(tp *runtime.Tape, horizon int64, parallel bool, check
 		for i < len(tp.Events) && tp.Events[i].Epoch <= c.Epoch() {
 			i++
 		}
-		due := make([]runtime.Event, 0, i-start)
 		for j := start; j < i; j++ {
 			ev := tp.Events[j]
 			ev.Seq = uint64(j + 1)
 			if ev.Op != "overload" && ev.Seq <= c.cursor {
 				continue // durable on its shard already
 			}
-			due = append(due, ev)
-		}
-		if parallel {
-			results, errs, err := c.ApplyBatch(due)
+			res, err := c.Apply(ev)
 			if err != nil {
-				return err
+				if !runtime.IsStaleRequest(err) || onDecisionErr == nil {
+					return fmt.Errorf("cluster: event at epoch %d: %w", ev.Epoch, err)
+				}
+				if err := onDecisionErr(ev, err); err != nil {
+					return err
+				}
+				continue
 			}
-			for j := range due {
-				if errs[j] != nil {
-					if onDecisionErr == nil {
-						return fmt.Errorf("cluster: event at epoch %d: %w", due[j].Epoch, errs[j])
-					}
-					if err := onDecisionErr(due[j], errs[j]); err != nil {
-						return err
-					}
-					continue
-				}
-				if onDecision != nil {
-					onDecision(due[j], results[j])
-				}
-			}
-		} else {
-			for _, ev := range due {
-				res, err := c.Apply(ev)
-				if err != nil {
-					if !runtime.IsStaleRequest(err) {
-						return fmt.Errorf("cluster: event at epoch %d: %w", ev.Epoch, err)
-					}
-					if onDecisionErr == nil {
-						return fmt.Errorf("cluster: event at epoch %d: %w", ev.Epoch, err)
-					}
-					if err := onDecisionErr(ev, err); err != nil {
-						return err
-					}
-					continue
-				}
-				if onDecision != nil {
-					onDecision(ev, res)
-				}
+			if onDecision != nil {
+				onDecision(ev, res)
 			}
 		}
 		// Every event through index i is resolved — applied, synthesized
@@ -1508,7 +1487,7 @@ func (c *Cluster) PlayTape(tp *runtime.Tape, horizon int64, parallel bool, check
 			c.cursor = uint64(i)
 		}
 		c.mu.Unlock()
-		reps, err := c.RunEpoch(parallel)
+		reps, err := c.RunEpoch(false)
 		if err != nil {
 			return err
 		}

@@ -31,14 +31,47 @@ func tapeHorizon(tp *schedrt.Tape) int64 {
 
 // playCluster drives the tape to its horizon, checkpointing every 5 ticks,
 // tolerating the stale requests churn tapes deliberately contain.
-func playCluster(c *cluster.Cluster, tp *schedrt.Tape, parallel bool) error {
-	return c.PlayTape(tp, tapeHorizon(tp), parallel, 5, nil, nil,
-		func(ev schedrt.Event, err error) error {
-			if schedrt.IsStaleRequest(err) {
-				return nil
-			}
+func playCluster(c *cluster.Cluster, tp *schedrt.Tape) error {
+	return c.PlayTape(tp, tapeHorizon(tp), 5, nil, nil, tolerateStale)
+}
+
+// playClusterBatched is playCluster through the concurrent drive: each
+// tick's due events go to ApplyBatch (per-shard buckets committed in
+// parallel) and the epoch runs with RunEpoch(true). It plays a fresh
+// cluster only — unlike PlayTape it has no resume cursor.
+func playClusterBatched(c *cluster.Cluster, tp *schedrt.Tape) error {
+	horizon := tapeHorizon(tp)
+	i := 0
+	for ticks := 1; c.Epoch() < horizon; ticks++ {
+		start := i
+		for i < len(tp.Events) && tp.Events[i].Epoch <= c.Epoch() {
+			i++
+		}
+		due := make([]schedrt.Event, 0, i-start)
+		for j := start; j < i; j++ {
+			ev := tp.Events[j]
+			ev.Seq = uint64(j + 1)
+			due = append(due, ev)
+		}
+		_, errs, err := c.ApplyBatch(due)
+		if err != nil {
 			return err
-		})
+		}
+		for j, err := range errs {
+			if err != nil && !schedrt.IsStaleRequest(err) {
+				return fmt.Errorf("event at epoch %d: %w", due[j].Epoch, err)
+			}
+		}
+		if _, err := c.RunEpoch(true); err != nil {
+			return err
+		}
+		if ticks%5 == 0 {
+			if err := c.Checkpoint(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // openCluster opens (and registers cleanup for) a cluster in dir.
@@ -52,12 +85,17 @@ func openCluster(t *testing.T, dir string, opt cluster.Options) *cluster.Cluster
 	return c
 }
 
-// runFresh plays the tape on a fresh cluster and returns its final digests
-// and partition map.
-func runFresh(t *testing.T, opt cluster.Options, tp *schedrt.Tape, parallel bool) ([]uint64, map[string]int) {
+// runFresh plays the tape on a fresh cluster — through PlayTape, or the
+// concurrent drive when batched — and returns its final digests and
+// partition map.
+func runFresh(t *testing.T, opt cluster.Options, tp *schedrt.Tape, batched bool) ([]uint64, map[string]int) {
 	t.Helper()
 	c := openCluster(t, t.TempDir(), opt)
-	if err := playCluster(c, tp, parallel); err != nil {
+	play := playCluster
+	if batched {
+		play = playClusterBatched
+	}
+	if err := play(c, tp); err != nil {
 		t.Fatal(err)
 	}
 	return c.Digests(), c.Owners()
@@ -89,8 +127,9 @@ func sameDigests(a, b []uint64) bool {
 
 // TestClusterParallelMatchesSerial is the soak invariant at test scale:
 // routing is serial and each shard applies its bucket in route order, so
-// the concurrent group-commit path must be bit-identical to N serial
-// Apply calls — same per-shard digests, same partition map.
+// the concurrent drive (ApplyBatch + RunEpoch(true)) must be bit-identical
+// to PlayTape's serial Apply calls — same per-shard digests, same
+// partition map.
 func TestClusterParallelMatchesSerial(t *testing.T) {
 	tp := clusterTape(400)
 	for _, shards := range []int{1, 4} {
@@ -121,14 +160,7 @@ func TestPlayTapeReentry(t *testing.T) {
 	c := openCluster(t, t.TempDir(), opt)
 	horizon := tapeHorizon(tp)
 	for c.Epoch() < horizon {
-		err := c.PlayTape(tp, c.Epoch()+1, false, 0, nil, nil,
-			func(ev schedrt.Event, err error) error {
-				if schedrt.IsStaleRequest(err) {
-					return nil
-				}
-				return err
-			})
-		if err != nil {
+		if err := c.PlayTape(tp, c.Epoch()+1, 0, nil, nil, tolerateStale); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,8 +173,8 @@ func TestPlayTapeReentry(t *testing.T) {
 }
 
 // TestPlacementDeterminism: the partition map is a pure function of
-// (seed, tape, policy) — two fresh runs agree exactly, in both drive
-// modes, for every policy.
+// (seed, tape, policy) — two fresh runs agree exactly, and the concurrent
+// drive agrees with PlayTape, for every policy.
 func TestPlacementDeterminism(t *testing.T) {
 	tp := clusterTape(250)
 	for _, policy := range cluster.PolicyNames() {
@@ -169,7 +201,7 @@ func TestPlacementDeterminism(t *testing.T) {
 func TestMirrorMatchesShardTruth(t *testing.T) {
 	tp := clusterTape(300)
 	c := openCluster(t, t.TempDir(), cluster.Options{Shards: 4, Store: schedrt.StoreOptions{NoSync: true}})
-	if err := playCluster(c, tp, false); err != nil {
+	if err := playCluster(c, tp); err != nil {
 		t.Fatal(err)
 	}
 	candidates := []task.Task{
@@ -223,13 +255,7 @@ func TestClusterReopenResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PlayTape(tp, tapeHorizon(tp)/2, false, 5, nil, nil,
-		func(ev schedrt.Event, err error) error {
-			if schedrt.IsStaleRequest(err) {
-				return nil
-			}
-			return err
-		}); err != nil {
+	if err := c.PlayTape(tp, tapeHorizon(tp)/2, 5, nil, nil, tolerateStale); err != nil {
 		t.Fatal(err)
 	}
 	midOwners := c.Owners()
@@ -246,7 +272,7 @@ func TestClusterReopenResumes(t *testing.T) {
 	if !sameOwners(midOwners, c.Owners()) {
 		t.Fatalf("recovered map %v != pre-close map %v", c.Owners(), midOwners)
 	}
-	if err := playCluster(c, tp, false); err != nil {
+	if err := playCluster(c, tp); err != nil {
 		t.Fatal(err)
 	}
 	if !sameDigests(c.Digests(), wantD) {
@@ -266,9 +292,18 @@ type crashNow struct{ point int }
 // boundary along the tape, reopen, finish the run, and require every
 // shard's digest and the partition map to be bit-identical to the
 // uncrashed run's.
+//
+// first-fit keeps nearly every event on shard 0, so it is swept again
+// under round-robin, whose kill points fall between two shards' events of
+// one tick. The first-fit points keep their top-level names.
 func TestClusterKillSweep(t *testing.T) {
+	killSweep(t, "first-fit")
+	t.Run("round-robin", func(t *testing.T) { killSweep(t, "round-robin") })
+}
+
+func killSweep(t *testing.T, placement string) {
 	tp := clusterTape(30)
-	opt := cluster.Options{Shards: 3, Placement: "first-fit", Store: schedrt.StoreOptions{}}
+	opt := cluster.Options{Shards: 3, Placement: placement, Store: schedrt.StoreOptions{}}
 	wantD, wantO := runFresh(t, opt, tp, false)
 
 	// Count the fsync boundaries of an uncrashed strict-sync run.
@@ -277,7 +312,7 @@ func TestClusterKillSweep(t *testing.T) {
 	countOpt.Store.AfterSync = func() { total++ }
 	{
 		c := openCluster(t, t.TempDir(), countOpt)
-		if err := playCluster(c, tp, false); err != nil {
+		if err := playCluster(c, tp); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()
@@ -319,7 +354,7 @@ func TestClusterKillSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				// No Close: a crash leaks the fds, exactly like a real kill.
-				_ = playCluster(c, tp, false)
+				_ = playCluster(c, tp)
 				t.Fatalf("run with kill point %d finished without crashing", point)
 			}()
 
@@ -328,7 +363,7 @@ func TestClusterKillSweep(t *testing.T) {
 				t.Fatalf("recovery after kill %d: %v", point, err)
 			}
 			defer c.Close()
-			if err := playCluster(c, tp, false); err != nil {
+			if err := playCluster(c, tp); err != nil {
 				t.Fatalf("resume after kill %d: %v", point, err)
 			}
 			if !sameDigests(c.Digests(), wantD) {
@@ -380,14 +415,14 @@ func TestClusterRejectsWrongTape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := playCluster(c, tp, false); err != nil {
+	if err := playCluster(c, tp); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 
 	c = openCluster(t, dir, opt)
 	short := &schedrt.Tape{Events: tp.Events[:3]}
-	if err := c.PlayTape(short, tapeHorizon(tp), false, 0, nil, nil, nil); !errors.Is(err, cluster.ErrWrongTape) {
+	if err := c.PlayTape(short, tapeHorizon(tp), 0, nil, nil, nil); !errors.Is(err, cluster.ErrWrongTape) {
 		t.Fatalf("short tape accepted: %v", err)
 	}
 }

@@ -1,6 +1,5 @@
-// Live task migration: checkpoint-handoff of tasks between shards, the
-// evacuation path that drains a Failed shard, and the skew-triggered
-// rebalancer that reuses the same handoff.
+// Live task migration: checkpoint-handoff of tasks between shards and the
+// evacuation path that drains a Failed shard through the same handoff.
 //
 // Protocol. A handoff of task T from shard F to shard S is a three-phase
 // write fenced by the meta journal (migration records are ALWAYS fsynced,
@@ -39,7 +38,6 @@ import (
 
 	"nprt/internal/journal"
 	"nprt/internal/runtime"
-	"nprt/internal/task"
 )
 
 // Move reports one attempted handoff.
@@ -62,32 +60,6 @@ type EvacReport struct {
 	Moves    []Move `json:"moves"`
 	Migrated int    `json:"migrated"`
 	Evicted  int    `json:"evicted"`
-}
-
-// RebalanceOptions tunes the skew-triggered rebalancer. Hysteresis: moves
-// start only at skew ≥ HighSkew and stop at skew ≤ LowSkew, so a cluster
-// hovering at the threshold does not thrash tasks back and forth.
-type RebalanceOptions struct {
-	// HighSkew triggers rebalancing: max−min accurate utilization over the
-	// alive shards (default 0.4).
-	HighSkew float64
-	// LowSkew is the stop target (default HighSkew/2).
-	LowSkew float64
-	// MaxMoves bounds one Rebalance call (default 8).
-	MaxMoves int
-}
-
-func (o RebalanceOptions) withDefaults() RebalanceOptions {
-	if o.HighSkew <= 0 {
-		o.HighSkew = 0.4
-	}
-	if o.LowSkew <= 0 {
-		o.LowSkew = o.HighSkew / 2
-	}
-	if o.MaxMoves <= 0 {
-		o.MaxMoves = 8
-	}
-	return o
 }
 
 // metaAppendSynced journals one migration-protocol record and fsyncs it
@@ -381,71 +353,6 @@ func (c *Cluster) reimageShardLocked(si int) error {
 	}
 	c.reseedReplicasLocked(si)
 	return nil
-}
-
-// Rebalance runs the skew-triggered rebalancer: while the accurate-
-// utilization spread (max−min over alive shards) is at or above HighSkew,
-// migrate tasks from the most- to the least-loaded shard through the live
-// handoff path, stopping at LowSkew, MaxMoves, or when no candidate task
-// both shrinks the gap and passes the receiver's screen.
-func (c *Cluster) Rebalance(opt RebalanceOptions) ([]Move, error) {
-	opt = opt.withDefaults()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var moves []Move
-	for len(moves) < opt.MaxMoves {
-		donor, recv := -1, -1
-		var maxU, minU float64
-		for i := range c.shards {
-			if c.health[i].State == Failed {
-				continue
-			}
-			u := c.shards[i].Util(task.Accurate)
-			if donor < 0 || u > maxU {
-				donor, maxU = i, u
-			}
-			if recv < 0 || u < minU {
-				recv, minU = i, u
-			}
-		}
-		if donor < 0 || donor == recv {
-			break
-		}
-		skew := maxU - minU
-		if len(moves) == 0 && skew < opt.HighSkew {
-			break // below trigger: hysteresis leaves the cluster alone
-		}
-		if skew <= opt.LowSkew {
-			break // reached the stop target
-		}
-		// First donor task that strictly shrinks the gap and fits the
-		// receiver (deep profile — the admission screen's own bar).
-		var cand runtime.TaskSpec
-		found := false
-		for _, sp := range c.shards[donor].Store.Runtime().Tasks() {
-			u := float64(sp.Task.WCET(task.Accurate)) / float64(sp.Task.Period)
-			if u >= skew {
-				continue // moving it would overshoot into reverse skew
-			}
-			if _, deepOK := c.shards[recv].Probe(&sp.Task); !deepOK {
-				continue
-			}
-			cand, found = sp, true
-			break
-		}
-		if !found {
-			break
-		}
-		mv, err := c.handoffLocked(cand, donor, recv, true)
-		if err != nil {
-			return moves, err
-		}
-		moves = append(moves, mv)
-		if !mv.Moved {
-			break
-		}
-	}
-	return moves, nil
 }
 
 // replayResetsLocked re-executes evacuation re-images whose wipe may have

@@ -71,60 +71,6 @@ func TestMigrateTaskMovesOwnership(t *testing.T) {
 	}
 }
 
-// TestRebalanceHysteresis: first-fit piles all load on shard 0; Rebalance
-// spreads it until skew drops under the low-water mark, and a second call
-// (inside the hysteresis band) makes zero moves.
-func TestRebalanceHysteresis(t *testing.T) {
-	c := openCluster(t, t.TempDir(), cluster.Options{Shards: 2, Placement: "first-fit",
-		Store: schedrt.StoreOptions{NoSync: true}})
-	// Eight tasks at 10% accurate utilization each, all first-fit onto shard 0.
-	for i := 0; i < 8; i++ {
-		if _, err := c.Apply(addEvent(fmt.Sprintf("r%d", i), 100, 10, 2)); err != nil {
-			t.Fatalf("seed %d: %v", i, err)
-		}
-	}
-	skew := func() float64 {
-		shs := c.Shards()
-		u0, u1 := shs[0].Util(0), shs[1].Util(0)
-		if u0 > u1 {
-			return u0 - u1
-		}
-		return u1 - u0
-	}
-	before := skew()
-	moves, err := c.Rebalance(cluster.RebalanceOptions{})
-	if err != nil {
-		t.Fatalf("rebalance: %v", err)
-	}
-	if len(moves) == 0 {
-		t.Fatalf("rebalance made no moves at skew %.2f", before)
-	}
-	after := skew()
-	if after >= before {
-		t.Fatalf("rebalance did not reduce skew: %.2f -> %.2f", before, after)
-	}
-	for _, mv := range moves {
-		if !mv.Moved || mv.Evicted {
-			t.Fatalf("rebalance move was not a clean handoff: %+v", mv)
-		}
-		if si := c.Owners()[mv.Name]; si != mv.To {
-			t.Fatalf("owner map disagrees with move %+v (owner %d)", mv, si)
-		}
-	}
-	// Inside the hysteresis band: no churn.
-	again, err := c.Rebalance(cluster.RebalanceOptions{})
-	if err != nil {
-		t.Fatalf("second rebalance: %v", err)
-	}
-	if len(again) != 0 {
-		t.Fatalf("rebalance churned inside the hysteresis band: %+v", again)
-	}
-	// Nothing lost: every task still owned exactly once.
-	if n := len(c.Owners()); n != 8 {
-		t.Fatalf("owner map holds %d tasks after rebalance, want 8", n)
-	}
-}
-
 // TestMigrationCrashSweep kills the cluster (panic out of the fsync hook)
 // at EVERY fsync boundary inside an in-flight migration and requires
 // recovery to converge to exactly one owner — never zero (lost), never two

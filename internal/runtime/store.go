@@ -543,8 +543,10 @@ func writeCheckpointMaybeSync(path string, fc *FileCheckpoint, afterSync func(),
 // durably, and the store's event cursor — persisted in every checkpoint —
 // resumes the tape exactly where the previous process died, even mid-epoch
 // between two events. Precondition: every request this store has ever
-// applied came from this tape, in order (impserve's tape mode guarantees
-// it). onEpoch/onDecision/onDecisionErr as in Runtime.Play.
+// applied came from this tape, in order. Durable tape runs go through
+// cluster.PlayTape; this single-store drive is the one-shard reference the
+// cluster is tested against. onEpoch/onDecision/onDecisionErr as in
+// Runtime.Play.
 func (s *Store) PlayTape(tp *Tape, horizon int64,
 	onEpoch func(EpochReport), onDecision func(Event, Decision),
 	onDecisionErr func(Event, error) error) error {
